@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test race telemetry parallel bench bench-workers bench-baseline bench-warmstart bench-sparse bench-flight bench-sweep bench-sweep-baseline bench-milp bench-milp-baseline bench-serve bench-serve-baseline bench-alloc clean
+.PHONY: check vet build test race telemetry parallel bench bench-workers bench-baseline bench-warmstart bench-sparse bench-flight bench-sweep bench-sweep-baseline bench-milp bench-milp-baseline bench-serve bench-serve-baseline bench-alloc bench-e2e clean
 
 ## check: full PR gate — vet, build, race-enabled tests, a doubled run of
 ## the telemetry suite (span/journal determinism under repetition), the
@@ -119,6 +119,15 @@ bench-serve-baseline:
 bench-alloc:
 	$(GO) test -run 'TestMulDenseIntoZeroAlloc|TestLUSolveZeroAlloc|TestMulBlockedIntoZeroAlloc|TestFTRANBTRANZeroAlloc|TestWarmResolveZeroAlloc' -count=1 -v ./internal/sparse/ ./internal/mat/ ./internal/lp/
 	$(GO) test -run 'TestPoolingIdentityGate|TestAllocGate' -count=1 -timeout 20m -v .
+
+## bench-e2e: the repository benchmark (edbench/, described by
+## BENCHMARK.json) end to end — the case118 attack pipeline, exact case30
+## attacks and the edserve screening mix, 30 s each at the held-out seed
+## 9001. Build output stays under .bench_build/.
+bench-e2e:
+	for w in attack118 attack-exact serve-screen; do \
+		bash edbench/run.sh --workload $$w --seed 9001 --seconds 30 --trace 0 || exit 1; \
+	done
 
 clean:
 	$(GO) clean ./...

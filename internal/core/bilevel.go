@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"github.com/edsec/edattack/internal/dispatch"
@@ -480,6 +481,10 @@ const polishPasses = 6
 // schedules is unaffected.
 const diveWideThreshold = 8
 
+// screenHook, when a test sets it, sees every candidate the polish screen
+// skips, with the incumbent gain the skip stands on.
+var screenHook func(s *subproblem, cand map[int]float64, incumbentGain float64)
+
 // polish runs a deterministic coordinate ascent over the manipulated-rating
 // space around a converged attack: per line, a fixed candidate set (band
 // edges, a coarse grid across the plausibility band, and relative steps off
@@ -493,6 +498,15 @@ const diveWideThreshold = 8
 // worker schedules. rich widens the candidate set (a finer band grid and
 // extra relative steps): ~2× the dispatch solves for a deeper ascent, used
 // to refine a single winner rather than every dive.
+//
+// Candidates that provably leave the dispatch unchanged are screened out
+// without a solve. With strictly convex costs the dispatch optimum is
+// unique; if a candidate differs from the incumbent point only on a line
+// whose flow limit is slack at the incumbent dispatch (zero dual, not
+// binding) and the new rating still clears that flow, the incumbent
+// dispatch keeps satisfying the KKT conditions, so the candidate scores
+// exactly the incumbent gain — never a strict improvement. Linear-cost
+// models, whose LP optima need not be unique, always take the full solve.
 func (s *subproblem) polish(dlr map[int]float64, rich bool) (float64, map[int]float64, *dispatch.Result, bool) {
 	net := s.k.Model.Net
 	ud := s.k.TrueDLR[s.target]
@@ -503,7 +517,7 @@ func (s *subproblem) polish(dlr map[int]float64, rich bool) (float64, map[int]fl
 		if s.ctx != nil && s.ctx.Err() != nil {
 			return 0, nil, false
 		}
-		res, ok := s.k.solveMemo(s.dlrOrder, cand)
+		res, ok := s.k.solveMemo(s.dlrOrder, cand, s.metrics)
 		if !ok {
 			return 0, nil, false
 		}
@@ -518,6 +532,15 @@ func (s *subproblem) polish(dlr map[int]float64, rich bool) (float64, map[int]fl
 	bestGain, bestRes := math.Inf(-1), (*dispatch.Result)(nil)
 	if g, res, ok := eval(cur); ok {
 		bestGain, bestRes = g, res
+	}
+	// bestRes is always the dispatch at cur with the scanned line at its
+	// best value, which is the incumbent point a candidate differs from.
+	unique := s.k.Model.StrictlyConvex()
+	unchanged := func(li int, v float64) bool {
+		if !unique || bestRes == nil || bestRes.LineDuals[li] != 0 || slices.Contains(bestRes.Binding, li) {
+			return false
+		}
+		return v-math.Abs(bestRes.Flows[li]) >= dispatch.BindTol*(1+v)
 	}
 	wide := !rich && len(s.dlrOrder) > diveWideThreshold
 	passes := polishPasses
@@ -559,6 +582,15 @@ func (s *subproblem) polish(dlr map[int]float64, rich bool) (float64, map[int]fl
 					continue
 				}
 				cur[li] = v
+				if unchanged(li, v) {
+					if s.metrics != nil {
+						s.metrics.Counter("ed_screened_total").Inc()
+					}
+					if screenHook != nil {
+						screenHook(s, cur, bestGain)
+					}
+					continue
+				}
 				if g, res, ok := eval(cur); ok && g > bestGain+1e-9 {
 					bestGain, bestRes, bestV, found = g, res, v, true
 				}

@@ -166,7 +166,12 @@ func memoKey(order []int, dlr map[int]float64) string {
 
 // solveMemo runs (or recalls) the operator's dispatch under a manipulation.
 // The boolean reports feasibility; the returned Result must not be mutated.
-func (k *Knowledge) solveMemo(order []int, dlr map[int]float64) (*dispatch.Result, bool) {
+// m, when non-nil, counts the evaluation in ed_evals_total and a recalled
+// one in ed_memo_hits_total.
+func (k *Knowledge) solveMemo(order []int, dlr map[int]float64, m *telemetry.Registry) (*dispatch.Result, bool) {
+	if m != nil {
+		m.Counter("ed_evals_total").Inc()
+	}
 	if k.memo == nil {
 		res, err := k.Model.Solve(k.ratingsUnder(dlr))
 		return res, err == nil
@@ -176,6 +181,9 @@ func (k *Knowledge) solveMemo(order []int, dlr map[int]float64) (*dispatch.Resul
 	res, hit := k.memo.m[key]
 	k.memo.mu.Unlock()
 	if hit {
+		if m != nil {
+			m.Counter("ed_memo_hits_total").Inc()
+		}
 		return res, res != nil
 	}
 	res, err := k.Model.Solve(k.ratingsUnder(dlr))

@@ -35,7 +35,7 @@ var ErrInfeasible = errors.New("dispatch: economic dispatch infeasible")
 // per solve.
 //
 // A Model is NOT safe for concurrent Solve/SetDemands calls: Solve mutates
-// the warm-start memory (lastBinding) and SetDemands rewrites Base/Demand.
+// the warm-start memory (warm) and SetDemands rewrites Base/Demand.
 // Concurrent workers should each hold a ShallowClone, which shares the
 // expensive immutable inputs (Net, M, ptdf) and owns the mutable state.
 type Model struct {
@@ -51,12 +51,13 @@ type Model struct {
 	Demand float64
 	// ptdf is retained to rebuild Base under demand overrides.
 	ptdf *mat.Matrix
-	// lastBinding warm-starts constraint generation across solves.
-	lastBinding []int
+	// warm is the last solve's end state, from which the next solve
+	// starts.
+	warm WarmState
 	// kkt carries QP factorization work across solves: the dispatch QP's
 	// matrix family is fixed per model (only ratings and demand vary), so
-	// base-KKT and Schur-complement factors are reusable. Like lastBinding
-	// it is per-clone mutable state, never shared between workers.
+	// base-KKT and Schur-complement factors are reusable. Like warm it is
+	// per-clone mutable state, never shared between workers.
 	kkt qp.KKTCache
 	// Metrics, when non-nil, receives dispatch_* counters and forwards to
 	// the inner LP/QP solvers' lp_*/qp_* counters. Nil costs nothing.
@@ -66,7 +67,7 @@ type Model struct {
 	// sparse ones; used for A/B measurement against dense baselines.
 	DenseSolver bool
 	// Workspace, when non-nil, supplies the inner LP/QP solvers' working
-	// storage, reused across rowgen rounds and solves. Like lastBinding it
+	// storage, reused across rowgen rounds and solves. Like warm it
 	// is per-clone mutable state: a workspace belongs to exactly one worker
 	// at a time and is never shared concurrently. ShallowClone deliberately
 	// leaves it nil — each worker attaches its own. Results are bit-identical
@@ -152,27 +153,38 @@ func (m *Model) ShallowClone() *Model {
 	return c
 }
 
-// ResetWarmStart clears the cross-solve warm-start memory (the
-// constraint-generation binding set), putting the model in the state a
-// fresh ShallowClone starts in. The KKT factorization cache is deliberately
-// kept: cached factors are bit-identical to freshly computed ones (same
-// matrices, deterministic factorization), so reuse never changes results —
-// which is what lets a sequential fan-out share one model across tasks
-// instead of cloning per task.
+// WarmState is a model's cross-solve warm-start memory: the lines that
+// bound the last solve, which seed constraint generation, and the last QP
+// optimum with its final working set, which seed the first round's QP. It
+// moves speed only: every solve reaches the same dispatch from any warm
+// state, because the dispatch QP's optimum is unique.
+type WarmState struct {
+	binding []int
+	qp      qp.WarmStart
+}
+
+// ResetWarmStart clears the cross-solve warm-start memory, putting the
+// model in the state a fresh ShallowClone starts in. The KKT factorization
+// cache is deliberately kept: cached factors are bit-identical to freshly
+// computed ones (same matrices, deterministic factorization), so reuse
+// never changes results — which is what lets a sequential fan-out share one
+// model across tasks instead of cloning per task.
 func (m *Model) ResetWarmStart() {
-	m.lastBinding = m.lastBinding[:0]
+	m.warm = WarmState{binding: m.warm.binding[:0]}
 }
 
 // WarmStartState returns a copy of the warm-start memory, for callers that
 // reset it per task and want to restore the pre-fan-out state afterwards.
-func (m *Model) WarmStartState() []int {
-	return append([]int(nil), m.lastBinding...)
+// The QP end state is shared, not copied: a solve replaces it whole and
+// never writes into it.
+func (m *Model) WarmStartState() WarmState {
+	return WarmState{binding: append([]int(nil), m.warm.binding...), qp: m.warm.qp}
 }
 
 // RestoreWarmStart overwrites the warm-start memory with a snapshot from
 // WarmStartState.
-func (m *Model) RestoreWarmStart(binding []int) {
-	m.lastBinding = append(m.lastBinding[:0], binding...)
+func (m *Model) RestoreWarmStart(w WarmState) {
+	m.warm = WarmState{binding: append(m.warm.binding[:0], w.binding...), qp: w.qp}
 }
 
 // ForDemands returns a ShallowClone with the per-bus demand overridden —
@@ -220,6 +232,21 @@ func (m *Model) HasQuadraticCost() bool {
 	return false
 }
 
+// StrictlyConvex reports whether every unit has a strictly convex cost, so
+// that the dispatch QP has a unique optimum.
+func (m *Model) StrictlyConvex() bool {
+	for i := range m.Net.Gens {
+		if !(m.Net.Gens[i].CostA > 0) {
+			return false
+		}
+	}
+	return true
+}
+
+// BindTol is the relative tolerance within which a line's flow counts as
+// binding its rating: |f| − u > −BindTol·(1+u).
+const BindTol = 1e-5
+
 // Result is a solved economic dispatch.
 type Result struct {
 	// P is the MW output per generator.
@@ -259,15 +286,18 @@ func (m *Model) Solve(ratings []float64) (*Result, error) {
 	if len(ratings) != len(m.Net.Lines) {
 		return nil, fmt.Errorf("dispatch: %d ratings for %d lines", len(ratings), len(m.Net.Lines))
 	}
-	solveSubset := m.solveLP
-	if m.HasQuadraticCost() {
-		solveSubset = m.solveQP
+	quad := m.HasQuadraticCost()
+	// The first round's QP starts from the last solve's optimum; later
+	// rounds add rows that optimum violates, so they start cold.
+	warm := &m.warm.qp
+	if len(warm.X) == 0 {
+		warm = nil
 	}
 	// Seed with the lines that bound the previous solve on this model —
 	// across bilevel nodes and time steps the binding set is stable.
-	included := make([]int, 0, len(m.lastBinding)+8)
+	included := make([]int, 0, len(m.warm.binding)+8)
 	inSet := make([]bool, len(m.Net.Lines))
-	for _, li := range m.lastBinding {
+	for _, li := range m.warm.binding {
 		if li < len(inSet) && !inSet[li] && ratings[li] > 0 {
 			inSet[li] = true
 			included = append(included, li)
@@ -276,7 +306,15 @@ func (m *Model) Solve(ratings []float64) (*Result, error) {
 	maxRounds := len(m.Net.Lines) + 2
 	totalIters := 0
 	for round := 0; round < maxRounds; round++ {
-		res, err := solveSubset(ratings, included)
+		var res *Result
+		var end qp.WarmStart
+		var err error
+		if quad {
+			res, end, err = m.solveQP(ratings, included, warm)
+			warm = nil
+		} else {
+			res, err = m.solveLP(ratings, included)
+		}
 		if err != nil {
 			if m.Metrics != nil && errors.Is(err, ErrInfeasible) {
 				m.Metrics.Counter("dispatch_infeasible_total").Inc()
@@ -294,7 +332,8 @@ func (m *Model) Solve(ratings []float64) (*Result, error) {
 			}
 		}
 		if !violated {
-			m.lastBinding = append(m.lastBinding[:0], res.Binding...)
+			m.warm.binding = append(m.warm.binding[:0], res.Binding...)
+			m.warm.qp = end
 			res.Iterations = totalIters
 			res.Rounds = round + 1
 			if m.Metrics != nil {
@@ -383,20 +422,22 @@ func (m *Model) solveLP(ratings []float64, included []int) (*Result, error) {
 }
 
 // solveQP handles convex quadratic costs via the active-set solver,
-// enforcing flow limits only for the included line subset.
-func (m *Model) solveQP(ratings []float64, included []int) (*Result, error) {
+// enforcing flow limits only for the included line subset, optionally
+// starting from a previous solve's end state. It returns this solve's end
+// state alongside the result.
+func (m *Model) solveQP(ratings []float64, included []int, warm *qp.WarmStart) (*Result, qp.WarmStart, error) {
 	gens := m.Net.Gens
 	ng := len(gens)
 	prob := qp.NewProblem(ng)
 	for i := range gens {
 		if err := prob.SetQuadCoeff(i, i, 2*gens[i].CostA); err != nil {
-			return nil, fmt.Errorf("dispatch: %w", err)
+			return nil, qp.WarmStart{}, fmt.Errorf("dispatch: %w", err)
 		}
 		if err := prob.SetLinCoeff(i, gens[i].CostB); err != nil {
-			return nil, fmt.Errorf("dispatch: %w", err)
+			return nil, qp.WarmStart{}, fmt.Errorf("dispatch: %w", err)
 		}
 		if err := prob.SetBounds(i, gens[i].Pmin, gens[i].Pmax); err != nil {
-			return nil, fmt.Errorf("dispatch: %w", err)
+			return nil, qp.WarmStart{}, fmt.Errorf("dispatch: %w", err)
 		}
 	}
 	ones := make([]float64, ng)
@@ -404,7 +445,7 @@ func (m *Model) solveQP(ratings []float64, included []int) (*Result, error) {
 		ones[i] = 1
 	}
 	if _, err := prob.AddEquality(ones, m.Demand); err != nil {
-		return nil, fmt.Errorf("dispatch: %w", err)
+		return nil, qp.WarmStart{}, fmt.Errorf("dispatch: %w", err)
 	}
 	type rowRef struct {
 		line int
@@ -421,7 +462,7 @@ func (m *Model) solveQP(ratings []float64, included []int) (*Result, error) {
 		row := m.M.Row(li)
 		r1, err := prob.AddInequality(row, u-m.Base[li])
 		if err != nil {
-			return nil, fmt.Errorf("dispatch: %w", err)
+			return nil, qp.WarmStart{}, fmt.Errorf("dispatch: %w", err)
 		}
 		refs = append(refs, rowRef{li, 1, r1})
 		rowKeys = append(rowKeys, int64(li)*2)
@@ -431,7 +472,7 @@ func (m *Model) solveQP(ratings []float64, included []int) (*Result, error) {
 		}
 		r2, err := prob.AddInequality(negRow, u+m.Base[li])
 		if err != nil {
-			return nil, fmt.Errorf("dispatch: %w", err)
+			return nil, qp.WarmStart{}, fmt.Errorf("dispatch: %w", err)
 		}
 		refs = append(refs, rowRef{li, -1, r2})
 		rowKeys = append(rowKeys, int64(li)*2+1)
@@ -447,22 +488,23 @@ func (m *Model) solveQP(ratings []float64, included []int) (*Result, error) {
 		Cache:     &m.kkt,
 		RowKeys:   rowKeys,
 		Workspace: m.Workspace,
+		Warm:      warm,
 	})
 	if err != nil {
 		if errors.Is(err, qp.ErrInfeasible) {
-			return nil, ErrInfeasible
+			return nil, qp.WarmStart{}, ErrInfeasible
 		}
-		return nil, fmt.Errorf("dispatch: %w", err)
+		return nil, qp.WarmStart{}, fmt.Errorf("dispatch: %w", err)
 	}
 	res, err := m.assemble(sol.X, ratings)
 	if err != nil {
-		return nil, err
+		return nil, qp.WarmStart{}, err
 	}
 	res.Iterations = sol.Iterations
 	for _, ref := range refs {
 		res.LineDuals[ref.line] += sol.IneqDual[ref.row] * ref.dir
 	}
-	return res, nil
+	return res, qp.WarmStart{X: sol.X, Working: sol.Working}, nil
 }
 
 // assemble computes flows, cost, and binding-set metadata for a dispatch.
@@ -477,13 +519,12 @@ func (m *Model) assemble(p []float64, ratings []float64) (*Result, error) {
 		Cost:      m.Cost(p),
 		LineDuals: make([]float64, len(m.Net.Lines)),
 	}
-	const bindTol = 1e-5
 	for li := range m.Net.Lines {
 		u := ratings[li]
 		if u <= 0 {
 			continue
 		}
-		if math.Abs(flows[li])-u > -bindTol*(1+u) {
+		if math.Abs(flows[li])-u > -BindTol*(1+u) {
 			res.Binding = append(res.Binding, li)
 		}
 	}

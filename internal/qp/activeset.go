@@ -3,7 +3,8 @@ package qp
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"github.com/edsec/edattack/internal/mat"
 	"github.com/edsec/edattack/internal/sparse"
@@ -25,6 +26,9 @@ type activeSet struct {
 	x    []float64
 	opts Options
 	work []int // indices into rows forming the working set
+	// warm marks a solve started from Options.Warm.X instead of the
+	// feasibility LP's vertex.
+	warm bool
 
 	// Hessian and equality-row sparsity, extracted once per solve.
 	hInd   [][]int
@@ -38,8 +42,15 @@ type activeSet struct {
 	schurTried bool
 
 	// keys[i] identifies rows[i] across solves sharing a KKTCache (stable
-	// scheme) or within this solve only (positional scheme).
-	keys []int64
+	// scheme) or within this solve only (positional scheme); slots[i] is
+	// that key's position in the kktSchur tables, looked up once per solve.
+	keys  []int64
+	slots []int32
+	// rowKeys[i] is rows[i]'s Solution.Working identity, filled for warm
+	// solves, and seedRows the rows the working set is seeded from, in
+	// order.
+	rowKeys  []int64
+	seedRows []int
 	// w0 = B⁻¹·[−c; beq] and the per-row dots ĝ_wᵀ·w0, per solve (the
 	// objective and right-hand sides may differ between cached solves).
 	w0    []float64
@@ -64,14 +75,18 @@ type activeSet struct {
 	// bordered solution vector, Schur right-hand side, memo hand-out copies,
 	// step direction, and candidate working set. A KKT solution handed out
 	// from uBuf/ret* is valid until the next solveKKT call, which is how
-	// run() already consumes it.
-	uBuf   []float64
-	rhsBuf []float64
-	retX   []float64
-	retNu  []float64
-	retLam []float64
-	dBuf   []float64
-	cand   []int
+	// run() already consumes it. schurBuf holds the Schur matrix being
+	// assembled (mat.Factor copies it) and inWorkBuf the ratio test's
+	// working-set membership.
+	uBuf      []float64
+	rhsBuf    []float64
+	retX      []float64
+	retNu     []float64
+	retLam    []float64
+	dBuf      []float64
+	schurBuf  []float64
+	inWorkBuf []bool
+	cand      []int
 }
 
 // KKTCache carries factorization work reusable across solves of structurally
@@ -112,47 +127,32 @@ type KKTCache struct {
 // which depend only on the gradients, so with a cross-solve KKTCache a
 // steady-state KKT solve costs one small triangular solve instead of the
 // dense (n+me+mw)³ factorization it replaced.
+//
+// Each row key gets a slot, in order of first sight, and the per-key and
+// per-pair caches are flat tables indexed by slot: a solve maps its rows to
+// slots once, so the inner Schur assembly does no hashing.
 type kktSchur struct {
 	dim0 int        // n + me
 	base *sparse.LU // factorization of B
 
-	cols  map[int64][]float64 // row key → B⁻¹·ĝ_w
-	dots  map[uint64]float64  // packed key pair → ĝ_vᵀ·B⁻¹·ĝ_w
-	sfact map[string]*mat.LU  // packed working set → Schur factorization
-	sbad  map[string]bool     // packed working set → singular (dependent)
+	slot  map[int64]int32    // row key → slot
+	cols  [][]float64        // slot → B⁻¹·ĝ_w (nil until first use)
+	dots  []float64          // slot pair (lower triangle) → ĝ_vᵀ·B⁻¹·ĝ_w, NaN until first use
+	sfact map[string]*mat.LU // packed working set → Schur factorization
+	sbad  map[string]bool    // packed working set → singular (dependent)
 }
+
+// dotSlots caps the slots whose pair dots are cached, bounding the dot
+// table at dotSlots²/2 entries (4 MiB); pairs past it are recomputed on
+// each use. Dispatch on case118 uses 480 slots.
+const dotSlots = 1024
 
 // run iterates: solve the equality-constrained QP on the working set, then
 // either take a (possibly blocked) step, drop a constraint with a negative
 // multiplier, or declare optimality.
 func (s *activeSet) run() (*Solution, error) {
 	tol := s.opts.Tol
-	// Seed the working set with constraints active at the start point,
-	// trying a caller-supplied warm set (a previous solve's active set)
-	// before the generic scan. A warm row is adopted under exactly the
-	// same conditions as a scanned one, so the warm set biases seeding
-	// order without ever admitting an inactive or dependent row.
-	trySeed := func(i int) {
-		if len(s.work) >= s.p.n-len(s.p.aeq) || s.inWork(i) {
-			return // keep the working set small enough for independence
-		}
-		if s.rows[i].h-s.rows[i].value(s.x) < tol {
-			cand := append(append(s.cand[:0], s.work...), i)
-			s.cand = cand
-			if s.tryKKT(cand) {
-				s.work = append(s.work, i)
-			}
-		}
-	}
-	for _, w := range s.opts.WarmSet {
-		// User inequality rows occupy rows[0:len(p.gin)] in add order.
-		if w >= 0 && w < len(s.p.gin) {
-			trySeed(w)
-		}
-	}
-	for i := range s.rows {
-		trySeed(i)
-	}
+	s.seed()
 	for iter := 0; iter < s.opts.MaxIter; iter++ {
 		xStar, nu, lam, err := s.solveKKT(s.work)
 		if err != nil {
@@ -177,6 +177,14 @@ func (s *activeSet) run() (*Solution, error) {
 				}
 			}
 			if minIdx < 0 {
+				if s.warm {
+					// A warm start can begin within Tol of the optimum
+					// without stepping; land on the KKT point, as the last
+					// full step of a cold solve does.
+					for j := range s.x {
+						s.x[j] += d[j]
+					}
+				}
 				sol := s.assemble(nu, lam)
 				sol.Iterations = iter + 1
 				return sol, nil
@@ -185,9 +193,15 @@ func (s *activeSet) run() (*Solution, error) {
 			continue
 		}
 		// Ratio test against rows not in the working set.
+		inWork := growBool(s.inWorkBuf, len(s.rows))
+		s.inWorkBuf = inWork
+		clear(inWork)
+		for _, w := range s.work {
+			inWork[w] = true
+		}
 		alpha, blocking := 1.0, -1
 		for i := range s.rows {
-			if s.inWork(i) {
+			if inWork[i] {
 				continue
 			}
 			gd := s.rows[i].dirDot(d)
@@ -220,13 +234,90 @@ func (s *activeSet) run() (*Solution, error) {
 	return nil, fmt.Errorf("%w (after %d iterations)", ErrIterLimit, s.opts.MaxIter)
 }
 
-func (s *activeSet) inWork(i int) bool {
-	for _, w := range s.work {
-		if w == i {
-			return true
+// seed fills the initial working set with rows active at the start point:
+// for a warm start the rows of the previous working set, in its order; for
+// a cold start every row, in row order. At most n − me rows fit an
+// independent set. The whole seed is factored as one KKT system; only when
+// it is dependent are the rows adopted one by one, each kept if the system
+// stays nonsingular. An independent batch is exactly the set the one-by-one
+// scan would build, since every prefix of an independent set is
+// independent.
+func (s *activeSet) seed() {
+	order := s.seedRows[:0]
+	if s.warm {
+		order = s.warmSeedRows(order)
+	} else {
+		for i := range s.rows {
+			order = append(order, i)
 		}
 	}
-	return false
+	s.seedRows = order
+	limit := s.p.n - len(s.p.aeq)
+	tol := s.opts.Tol
+	active := func(i int) bool { return s.rows[i].h-s.rows[i].value(s.x) < tol }
+	batch := s.cand[:0]
+	for _, i := range order {
+		if len(batch) == limit {
+			break
+		}
+		if active(i) {
+			batch = append(batch, i)
+		}
+	}
+	s.cand = batch
+	if len(batch) == 0 {
+		return
+	}
+	if s.tryKKT(batch) {
+		s.work = append(s.work[:0], batch...)
+		return
+	}
+	for _, i := range order {
+		if len(s.work) == limit {
+			break
+		}
+		if !active(i) {
+			continue
+		}
+		cand := append(append(s.cand[:0], s.work...), i)
+		s.cand = cand
+		if s.tryKKT(cand) {
+			s.work = append(s.work, i)
+		}
+	}
+}
+
+// warmSeedRows appends to order the row indices of the warm working set's
+// keys, in warm order; repeated keys and keys naming no row of this problem
+// are dropped.
+func (s *activeSet) warmSeedRows(order []int) []int {
+	keys := growInt64(s.rowKeys, len(s.rows))
+	for i := range s.rows {
+		keys[i] = s.rowKey(i)
+	}
+	s.rowKeys = keys
+	for _, k := range s.opts.Warm.Working {
+		if i := slices.Index(keys, k); i >= 0 && !slices.Contains(order, i) {
+			order = append(order, i)
+		}
+	}
+	return order
+}
+
+// rowKey is rows[i]'s identity in Solution.Working.
+func (s *activeSet) rowKey(i int) int64 {
+	r := &s.rows[i]
+	switch r.kind {
+	case kindUser:
+		if len(s.opts.RowKeys) == len(s.p.gin) {
+			return s.opts.RowKeys[r.idx] << 2
+		}
+		return int64(r.idx) << 2
+	case kindUpper:
+		return int64(r.idx)<<2 | 1
+	default:
+		return int64(r.idx)<<2 | 2
+	}
 }
 
 // tryKKT reports whether the KKT matrix for the given working set is
@@ -285,6 +376,7 @@ func (s *activeSet) initSchur() {
 		if cache.sc != nil {
 			s.schur = cache.sc
 			s.initW0()
+			s.assignSlots()
 		}
 		return
 	}
@@ -295,6 +387,28 @@ func (s *activeSet) initSchur() {
 	if sc != nil {
 		s.schur = sc
 		s.initW0()
+		s.assignSlots()
+	}
+}
+
+// assignSlots maps each row's key to its kktSchur slot, giving keys seen
+// for the first time the next free slot.
+func (s *activeSet) assignSlots() {
+	k := s.schur
+	s.slots = growInt32(s.slots, len(s.rows))
+	for i, key := range s.keys {
+		sl, ok := k.slot[key]
+		if !ok {
+			sl = int32(len(k.cols))
+			k.slot[key] = sl
+			k.cols = append(k.cols, nil)
+			if sl < dotSlots {
+				for j := int32(0); j <= sl; j++ {
+					k.dots = append(k.dots, math.NaN())
+				}
+			}
+		}
+		s.slots[i] = sl
 	}
 }
 
@@ -382,8 +496,7 @@ func (s *activeSet) buildSchur() *kktSchur {
 	return &kktSchur{
 		dim0:  dim0,
 		base:  base,
-		cols:  make(map[int64][]float64),
-		dots:  make(map[uint64]float64),
+		slot:  make(map[int64]int32),
 		sfact: make(map[string]*mat.LU),
 		sbad:  make(map[string]bool),
 	}
@@ -416,7 +529,8 @@ func (s *activeSet) initW0() {
 // cache never invalidates: B and the gradient behind a key are fixed for
 // the cache's lifetime.
 func (s *activeSet) borderCol(w int) []float64 {
-	if c, ok := s.schur.cols[s.keys[w]]; ok {
+	sl := s.slots[w]
+	if c := s.schur.cols[sl]; c != nil {
 		return c
 	}
 	v := make([]float64, s.schur.dim0)
@@ -427,25 +541,31 @@ func (s *activeSet) borderCol(w int) []float64 {
 		v[r.idx] = r.sign
 	}
 	s.schur.base.Solve(v)
-	s.schur.cols[s.keys[w]] = v
+	s.schur.cols[sl] = v
 	return v
 }
 
 // pairDot returns ĝ_vᵀ·B⁻¹·ĝ_w, cached per unordered key pair (the base is
-// symmetric, so the dot is too; the canonical orientation makes the cached
-// value — and hence the Schur matrix — exactly symmetric).
+// symmetric, so the dot is too; computing it from the row with the smaller
+// key makes the cached value — and hence the Schur matrix — exactly
+// symmetric).
 func (s *activeSet) pairDot(wi, wj int) float64 {
-	a, b := s.keys[wi], s.keys[wj]
-	if a > b {
-		a, b = b, a
+	if s.keys[wi] > s.keys[wj] {
 		wi, wj = wj, wi
 	}
-	key := uint64(a)<<32 | uint64(b)
-	if v, ok := s.schur.dots[key]; ok {
+	lo, hi := s.slots[wi], s.slots[wj]
+	if lo > hi {
+		lo, hi = hi, lo
+	}
+	if hi >= dotSlots {
+		return rowDot(&s.rows[wi], s.borderCol(wj))
+	}
+	at := int(hi)*(int(hi)+1)/2 + int(lo)
+	if v := s.schur.dots[at]; !math.IsNaN(v) {
 		return v
 	}
 	v := rowDot(&s.rows[wi], s.borderCol(wj))
-	s.schur.dots[key] = v
+	s.schur.dots[at] = v
 	return v
 }
 
@@ -509,7 +629,8 @@ func (s *activeSet) solveKKTSchur(work []int) (x, nu, lam []float64, err error) 
 		}
 		f := k.sfact[wk]
 		if f == nil {
-			sc := mat.New(mw, mw)
+			s.schurBuf = growFloat(s.schurBuf, mw*mw)
+			sc, _ := mat.Wrap(mw, mw, s.schurBuf)
 			for i := range work {
 				for j := i; j < mw; j++ {
 					d := s.pairDot(work[i], work[j])
@@ -649,7 +770,9 @@ func (s *activeSet) assemble(nu, lam []float64) *Solution {
 		LowerDual: make([]float64, p.n),
 		UpperDual: make([]float64, p.n),
 	}
+	sol.Working = make([]int64, len(s.work))
 	for k, w := range s.work {
+		sol.Working[k] = s.rowKey(w)
 		r := &s.rows[w]
 		l := lam[k]
 		if l < 0 {
@@ -658,14 +781,12 @@ func (s *activeSet) assemble(nu, lam []float64) *Solution {
 		switch r.kind {
 		case kindUser:
 			sol.IneqDual[r.idx] = l
-			sol.ActiveSet = append(sol.ActiveSet, r.idx)
 		case kindLower:
 			sol.LowerDual[r.idx] = l
 		case kindUpper:
 			sol.UpperDual[r.idx] = l
 		}
 	}
-	sort.Ints(sol.ActiveSet)
 	hx, _ := p.h.MulVec(sol.X)
 	sol.Objective = 0.5*mat.Dot(sol.X, hx) + mat.Dot(p.c, sol.X)
 	return sol

@@ -8,8 +8,10 @@
 //
 // H must be symmetric positive semidefinite and positive definite on the
 // feasible directions (true for economic dispatch with strictly convex
-// generation costs). A feasible starting point is found with the lp package;
-// subsequent iterations solve equality-constrained KKT systems via LU.
+// generation costs). A feasible starting point comes from a previous solve's
+// end state (Options.Warm) when that point is still feasible, and from the
+// lp package otherwise; subsequent iterations solve equality-constrained KKT
+// systems via LU.
 package qp
 
 import (
@@ -133,11 +135,21 @@ type Solution struct {
 	UpperDual []float64
 	// Iterations is the number of active-set iterations performed.
 	Iterations int
-	// ActiveSet lists the user inequality rows (indices into the order
-	// they were added) that are in the final working set, ascending. It
-	// can seed a later solve of a nearby problem via Options.WarmSet —
-	// the QP analogue of the lp package's basis reuse.
-	ActiveSet []int
+	// Working is the final working set as row keys, in working-set order:
+	// user inequality row i is RowKeys[i]<<2 (i<<2 without RowKeys), the
+	// upper bound of variable j is j<<2|1 and its lower bound j<<2|2.
+	// Together with X it is the state a later solve of a nearby problem
+	// starts from through Options.Warm.
+	Working []int64
+}
+
+// WarmStart is a previous solve's end state offered to the next solve of a
+// nearby problem — the QP analogue of the lp package's basis reuse.
+type WarmStart struct {
+	// X is the previous optimum (Solution.X).
+	X []float64
+	// Working is the previous final working set (Solution.Working).
+	Working []int64
 }
 
 // Options tune the solver.
@@ -149,15 +161,13 @@ type Options struct {
 	// Metrics, when non-nil, receives qp_* solve/iteration counters and
 	// forwards to the feasibility LP's lp_* counters.
 	Metrics *telemetry.Registry
-	// WarmSet, when non-empty, lists user inequality rows to try first
-	// when seeding the working set (e.g. Solution.ActiveSet from a
-	// previous solve of a nearby problem). Rows are adopted only if they
-	// are active at the feasible start point and keep the KKT system
-	// nonsingular, so a stale warm set degrades to the cold seeding
-	// order, never to a wrong answer. Note that within a single solve the
-	// working set always carries over between iterations; WarmSet only
-	// adds reuse across solves.
-	WarmSet []int
+	// Warm, when non-nil, starts the solve from a previous solve's end
+	// state. If Warm.X satisfies every equality, inequality and bound row
+	// to within Tol, the feasibility LP is skipped and the working set is
+	// seeded with the rows of Warm.Working that are active at Warm.X;
+	// otherwise the solve starts cold. The optimum is unique, so a stale
+	// warm state costs speed, never correctness.
+	Warm *WarmStart
 	// DenseKKT forces every KKT system onto the dense factorization
 	// instead of letting the solver pick the sparse LU by system size and
 	// density; used for A/B measurement against dense baselines.
@@ -245,15 +255,23 @@ func SolveWith(p *Problem, opts Options) (*Solution, error) {
 		rowBuf = sc.rows
 	}
 	rows := gatherIneqsInto(p, rowBuf)
-	x, err := feasibleStart(p, opts)
-	if err != nil {
-		if sc != nil {
-			sc.rows = rows
+	x := warmPoint(p, rows, opts)
+	warm := x != nil
+	if warm {
+		if m != nil {
+			m.Counter("qp_warm_starts_total").Inc()
 		}
-		if m != nil && errors.Is(err, ErrInfeasible) {
-			m.Counter("qp_infeasible_total").Inc()
+	} else {
+		var err error
+		if x, err = feasibleStart(p, opts); err != nil {
+			if sc != nil {
+				sc.rows = rows
+			}
+			if m != nil && errors.Is(err, ErrInfeasible) {
+				m.Counter("qp_infeasible_total").Inc()
+			}
+			return nil, err
 		}
-		return nil, err
 	}
 	var s *activeSet
 	if sc != nil {
@@ -261,6 +279,7 @@ func SolveWith(p *Problem, opts Options) (*Solution, error) {
 	} else {
 		s = &activeSet{p: p, rows: rows, x: x, opts: opts}
 	}
+	s.warm = warm
 	sol, err := s.run()
 	if sc != nil {
 		sc.reclaim(s)
@@ -300,9 +319,36 @@ func gatherIneqsInto(p *Problem, buf []ineqRow) []ineqRow {
 	return rows
 }
 
+// warmPoint returns a copy of opts.Warm.X when it satisfies every row of p
+// to within opts.Tol, and nil — meaning start cold — otherwise.
+func warmPoint(p *Problem, rows []ineqRow, opts Options) []float64 {
+	w := opts.Warm
+	if w == nil || len(w.X) != p.n {
+		return nil
+	}
+	tol := opts.Tol
+	for e, a := range p.aeq {
+		if r := mat.Dot(a, w.X) - p.beq[e]; !(math.Abs(r) <= tol*(1+math.Abs(p.beq[e]))) {
+			return nil
+		}
+	}
+	for i := range rows {
+		if !(rows[i].h-rows[i].value(w.X) >= -tol) {
+			return nil
+		}
+	}
+	return mat.CloneVec(w.X)
+}
+
 // feasibleStart finds any point satisfying the constraints via the LP solver.
 func feasibleStart(p *Problem, opts Options) ([]float64, error) {
 	lpOpts := lp.Options{Metrics: opts.Metrics}
+	solveLP := func(prob *lp.Problem) (*lp.Solution, error) {
+		if opts.Metrics != nil {
+			opts.Metrics.Counter("qp_feasibility_lp_total").Inc()
+		}
+		return lp.SolveWith(prob, lpOpts)
+	}
 	prob := lp.NewProblem(p.n)
 	for j := 0; j < p.n; j++ {
 		if err := prob.SetBounds(j, p.lower[j], p.upper[j]); err != nil {
@@ -322,14 +368,14 @@ func feasibleStart(p *Problem, opts Options) ([]float64, error) {
 	// Minimizing the linear part of the QP objective gives a start point
 	// that is usually close to the QP optimum's active set.
 	_ = prob.SetObjective(p.c, false)
-	sol, err := lp.SolveWith(prob, lpOpts)
+	sol, err := solveLP(prob)
 	if err != nil {
 		// A cᵀx phase can be unbounded even when the QP is well posed;
 		// retry with a pure feasibility objective.
 		prob.SetMaximize(false)
 		zero := make([]float64, p.n)
 		_ = prob.SetObjective(zero, false)
-		sol, err = lp.SolveWith(prob, lpOpts)
+		sol, err = solveLP(prob)
 		if err != nil {
 			return nil, fmt.Errorf("qp: feasibility LP failed: %w", err)
 		}
@@ -340,7 +386,7 @@ func feasibleStart(p *Problem, opts Options) ([]float64, error) {
 	case lp.Unbounded:
 		zero := make([]float64, p.n)
 		_ = prob.SetObjective(zero, false)
-		sol, err = lp.SolveWith(prob, lpOpts)
+		sol, err = solveLP(prob)
 		if err != nil {
 			return nil, fmt.Errorf("qp: feasibility LP failed: %w", err)
 		}

@@ -16,24 +16,29 @@ import "github.com/edsec/edattack/internal/lp"
 type qpScratch struct {
 	as activeSet
 
-	rows     []ineqRow
-	work     []int
-	keys     []int64
-	w0       []float64
-	rw0      []float64
-	rw0ok    []bool
-	keyBuf   []byte
-	memoWork []int
-	memoX    []float64
-	memoNu   []float64
-	memoLam  []float64
-	uBuf     []float64
-	rhsBuf   []float64
-	retX     []float64
-	retNu    []float64
-	retLam   []float64
-	dBuf     []float64
-	cand     []int
+	rows      []ineqRow
+	work      []int
+	keys      []int64
+	slots     []int32
+	rowKeys   []int64
+	seedRows  []int
+	w0        []float64
+	rw0       []float64
+	rw0ok     []bool
+	keyBuf    []byte
+	memoWork  []int
+	memoX     []float64
+	memoNu    []float64
+	memoLam   []float64
+	uBuf      []float64
+	rhsBuf    []float64
+	retX      []float64
+	retNu     []float64
+	retLam    []float64
+	dBuf      []float64
+	schurBuf  []float64
+	inWorkBuf []bool
+	cand      []int
 }
 
 // scratchFrom returns the workspace's QP scratch, creating it on first use;
@@ -57,6 +62,9 @@ func (sc *qpScratch) attach(p *Problem, rows []ineqRow, x []float64, opts Option
 	*s = activeSet{p: p, rows: rows, x: x, opts: opts}
 	s.work = sc.work[:0]
 	s.keys = sc.keys[:0]
+	s.slots = sc.slots[:0]
+	s.rowKeys = sc.rowKeys[:0]
+	s.seedRows = sc.seedRows[:0]
 	s.w0 = sc.w0[:0]
 	s.rw0 = sc.rw0[:0]
 	s.rw0ok = sc.rw0ok[:0]
@@ -71,6 +79,8 @@ func (sc *qpScratch) attach(p *Problem, rows []ineqRow, x []float64, opts Option
 	s.retNu = sc.retNu[:0]
 	s.retLam = sc.retLam[:0]
 	s.dBuf = sc.dBuf[:0]
+	s.schurBuf = sc.schurBuf[:0]
+	s.inWorkBuf = sc.inWorkBuf[:0]
 	s.cand = sc.cand[:0]
 	return s
 }
@@ -81,6 +91,9 @@ func (sc *qpScratch) reclaim(s *activeSet) {
 	sc.rows = s.rows[:0]
 	sc.work = s.work[:0]
 	sc.keys = s.keys[:0]
+	sc.slots = s.slots[:0]
+	sc.rowKeys = s.rowKeys[:0]
+	sc.seedRows = s.seedRows[:0]
 	sc.w0 = s.w0[:0]
 	sc.rw0 = s.rw0[:0]
 	sc.rw0ok = s.rw0ok[:0]
@@ -95,6 +108,8 @@ func (sc *qpScratch) reclaim(s *activeSet) {
 	sc.retNu = s.retNu[:0]
 	sc.retLam = s.retLam[:0]
 	sc.dBuf = s.dBuf[:0]
+	sc.schurBuf = s.schurBuf[:0]
+	sc.inWorkBuf = s.inWorkBuf[:0]
 	sc.cand = s.cand[:0]
 }
 
@@ -110,7 +125,7 @@ func cloneInto(dst, src []float64) []float64 {
 	return dst
 }
 
-// growFloat/growBool/growInt64 reslice to length n, reallocating only when
+// growFloat/growBool/growInt32/growInt64 reslice to length n, reallocating only when
 // capacity is insufficient; contents are unspecified (callers write or clear).
 func growFloat(s []float64, n int) []float64 {
 	if cap(s) < n {
@@ -122,6 +137,13 @@ func growFloat(s []float64, n int) []float64 {
 func growBool(s []bool, n int) []bool {
 	if cap(s) < n {
 		return make([]bool, n)
+	}
+	return s[:n]
+}
+
+func growInt32(s []int32, n int) []int32 {
+	if cap(s) < n {
+		return make([]int32, n)
 	}
 	return s[:n]
 }

@@ -4,6 +4,9 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"github.com/edsec/edattack/internal/mat"
+	"github.com/edsec/edattack/internal/telemetry"
 )
 
 // buildWarmQP is a strictly convex QP whose optimum pins two of the three
@@ -21,26 +24,45 @@ func buildWarmQP() *Problem {
 	return p
 }
 
-// The solver reports which user rows are active at the optimum, and feeding
-// that set back as WarmSet reproduces the same optimum in no more
-// iterations — the active-set analogue of the lp package's warm basis.
+// warmOf is the warm state a solution leaves for the next solve.
+func warmOf(sol *Solution) *WarmStart {
+	return &WarmStart{X: sol.X, Working: sol.Working}
+}
+
+// solveCounted solves with a fresh registry and returns the warm-start and
+// feasibility-LP counts alongside the solution.
+func solveCounted(t *testing.T, p *Problem, o Options) (sol *Solution, warm, lps int64) {
+	t.Helper()
+	reg := telemetry.NewRegistry()
+	o.Metrics = reg
+	sol, err := SolveWith(p, o)
+	if err != nil {
+		t.Fatalf("solve: %v", err)
+	}
+	return sol, reg.Counter("qp_warm_starts_total").Value(), reg.Counter("qp_feasibility_lp_total").Value()
+}
+
+// The solver reports its final working set as row keys, and starting from
+// that state reproduces the same optimum without the feasibility LP and in
+// no more iterations — the active-set analogue of the lp package's warm
+// basis.
 func TestWarmSetRoundTrip(t *testing.T) {
 	p := buildWarmQP()
 	cold, err := Solve(p)
 	if err != nil {
 		t.Fatalf("cold solve: %v", err)
 	}
-	if len(cold.ActiveSet) == 0 {
-		t.Fatal("optimum pins user rows but ActiveSet is empty")
+	if len(cold.Working) == 0 {
+		t.Fatal("optimum pins user rows but the working set is empty")
 	}
-	for _, i := range cold.ActiveSet {
-		if i < 0 || i >= 3 {
-			t.Fatalf("ActiveSet entry %d out of range", i)
+	for _, k := range cold.Working {
+		if k&3 != 0 || k>>2 < 0 || k>>2 >= 3 {
+			t.Fatalf("working key %d is not a user row of this problem", k)
 		}
 	}
-	warm, err := SolveWith(p, Options{WarmSet: cold.ActiveSet})
-	if err != nil {
-		t.Fatalf("warm solve: %v", err)
+	warm, warmStarts, lps := solveCounted(t, p, Options{Warm: warmOf(cold)})
+	if warmStarts != 1 || lps != 0 {
+		t.Fatalf("warm solve: %d warm starts, %d feasibility LPs; want 1 and 0", warmStarts, lps)
 	}
 	if math.Abs(warm.Objective-cold.Objective) > tol {
 		t.Fatalf("warm objective %v, cold %v", warm.Objective, cold.Objective)
@@ -50,35 +72,50 @@ func TestWarmSetRoundTrip(t *testing.T) {
 	}
 }
 
-// A garbage warm set (out-of-range and inactive rows) must not change the
-// answer: warm seeding only biases the order in which active rows are tried.
+// A stale warm state — keys naming no or inactive rows, a point of the wrong
+// size, an infeasible or NaN point — must not change the answer: a feasible
+// point only moves the start, and anything else degrades to the cold path.
 func TestWarmSetIgnoresStaleHints(t *testing.T) {
 	p := buildWarmQP()
 	cold, err := Solve(p)
 	if err != nil {
 		t.Fatalf("cold solve: %v", err)
 	}
-	for _, ws := range [][]int{{-1, 99}, {2}, {2, 1, 0, 0, 1, 2}} {
-		warm, err := SolveWith(p, Options{WarmSet: ws})
-		if err != nil {
-			t.Fatalf("warm solve with %v: %v", ws, err)
+	feasible := []float64{0, 0, 0}
+	for _, c := range []struct {
+		warm   *WarmStart
+		isWarm bool
+	}{
+		{&WarmStart{X: feasible, Working: []int64{-4, 99 << 2, 7}}, true},
+		{&WarmStart{X: feasible, Working: []int64{2 << 2}}, true},
+		{&WarmStart{X: feasible, Working: []int64{8, 4, 0, 0, 4, 8}}, true},
+		{&WarmStart{X: []float64{0, 0}, Working: cold.Working}, false},
+		{&WarmStart{X: []float64{5, 5, 5}, Working: cold.Working}, false},
+		{&WarmStart{X: []float64{math.NaN(), 0, 0}, Working: cold.Working}, false},
+	} {
+		warm, warmStarts, lps := solveCounted(t, p, Options{Warm: c.warm})
+		if got := warmStarts == 1 && lps == 0; got != c.isWarm {
+			t.Fatalf("warm state %+v: %d warm starts, %d feasibility LPs", *c.warm, warmStarts, lps)
 		}
 		if math.Abs(warm.Objective-cold.Objective) > tol {
-			t.Fatalf("warm set %v changed objective: %v vs %v", ws, warm.Objective, cold.Objective)
+			t.Fatalf("warm state %+v changed objective: %v vs %v", *c.warm, warm.Objective, cold.Objective)
 		}
 		for j := range cold.X {
 			if math.Abs(warm.X[j]-cold.X[j]) > 1e-5 {
-				t.Fatalf("warm set %v changed x[%d]: %v vs %v", ws, j, warm.X[j], cold.X[j])
+				t.Fatalf("warm state %+v changed x[%d]: %v vs %v", *c.warm, j, warm.X[j], cold.X[j])
 			}
 		}
 	}
 }
 
-// Random strictly convex QPs: the warm set captured from a solve must
-// reproduce the same optimum when the linear term is perturbed slightly —
-// the successive-QP situation (e.g. re-dispatch after a small rating change).
+// Random strictly convex QPs: the warm state captured from a solve must
+// reproduce the fresh optimum after the linear term is perturbed slightly,
+// and after the row limit moves — the successive-QP situation of
+// re-dispatch after a rating change. A tightened limit that cuts off the
+// warm point must take the cold path.
 func TestWarmSetAfterPerturbation(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
+	coldFallbacks := 0
 	for trial := 0; trial < 50; trial++ {
 		n := 2 + r.Intn(4)
 		p := NewProblem(n)
@@ -99,16 +136,25 @@ func TestWarmSetAfterPerturbation(t *testing.T) {
 		for j := 0; j < n; j++ {
 			_ = p.SetLinCoeff(j, p.c[j]+0.01*(r.Float64()-0.5))
 		}
+		p.hin[0] = 0.5 + 0.1*(r.Float64()-0.5)
 		ref, err := Solve(p)
 		if err != nil {
 			t.Fatalf("trial %d ref: %v", trial, err)
 		}
-		warm, err := SolveWith(p, Options{WarmSet: cold.ActiveSet})
-		if err != nil {
-			t.Fatalf("trial %d warm: %v", trial, err)
-		}
+		warm, warmStarts, lps := solveCounted(t, p, Options{Warm: warmOf(cold)})
 		if math.Abs(warm.Objective-ref.Objective) > 1e-5*(1+math.Abs(ref.Objective)) {
 			t.Fatalf("trial %d: warm objective %v, ref %v", trial, warm.Objective, ref.Objective)
 		}
+		cutOff := mat.Dot(row, cold.X) > p.hin[0]+1e-8
+		if cutOff != (warmStarts == 0 && lps > 0) {
+			t.Fatalf("trial %d: warm point cut off %v, but %d warm starts and %d feasibility LPs",
+				trial, cutOff, warmStarts, lps)
+		}
+		if cutOff {
+			coldFallbacks++
+		}
+	}
+	if coldFallbacks == 0 {
+		t.Fatal("no trial cut off its warm point; the cold fallback went untested")
 	}
 }
