@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 
 	"github.com/edsec/edattack/internal/mat"
 	"github.com/edsec/edattack/internal/sparse"
@@ -41,15 +40,16 @@ type activeSet struct {
 	schur      *kktSchur
 	schurTried bool
 
-	// keys[i] identifies rows[i] across solves sharing a KKTCache (stable
-	// scheme) or within this solve only (positional scheme); slots[i] is
-	// that key's position in the kktSchur tables, looked up once per solve.
-	keys  []int64
-	slots []int32
-	// rowKeys[i] is rows[i]'s Solution.Working identity, filled for warm
-	// solves, and seedRows the rows the working set is seeded from, in
-	// order.
-	rowKeys  []int64
+	// keys[i] is rows[i]'s identity (see rowKeys), reported in
+	// Solution.Working and, when stable, valid across solves sharing a
+	// KKTCache. slots[i] is that key's position in the kktSchur tables, −1
+	// until the row first enters a KKT system in this solve.
+	keys   []int64
+	stable bool
+	slots  []int32
+	// rowOf maps keys back to rows for warm seeding, and seedRows holds the
+	// rows the working set is seeded from, in order.
+	rowOf    map[int64]int32
 	seedRows []int
 	// w0 = B⁻¹·[−c; beq] and the per-row dots ĝ_wᵀ·w0, per solve (the
 	// objective and right-hand sides may differ between cached solves).
@@ -128,9 +128,11 @@ type KKTCache struct {
 // steady-state KKT solve costs one small triangular solve instead of the
 // dense (n+me+mw)³ factorization it replaced.
 //
-// Each row key gets a slot, in order of first sight, and the per-key and
-// per-pair caches are flat tables indexed by slot: a solve maps its rows to
-// slots once, so the inner Schur assembly does no hashing.
+// A row key gets a slot the first time its row enters a KKT system, and the
+// per-key and per-pair caches are flat tables indexed by slot, so the inner
+// Schur assembly does no hashing. Only rows that ever join a working set (or
+// are tried for one) take slots, and the pair table grows with them: with s
+// slots it holds s(s+1)/2 dots, every pair whether or not it was used.
 type kktSchur struct {
 	dim0 int        // n + me
 	base *sparse.LU // factorization of B
@@ -142,16 +144,12 @@ type kktSchur struct {
 	sbad  map[string]bool    // packed working set → singular (dependent)
 }
 
-// dotSlots caps the slots whose pair dots are cached, bounding the dot
-// table at dotSlots²/2 entries (4 MiB); pairs past it are recomputed on
-// each use. Dispatch on case118 uses 480 slots.
-const dotSlots = 1024
-
 // run iterates: solve the equality-constrained QP on the working set, then
 // either take a (possibly blocked) step, drop a constraint with a negative
 // multiplier, or declare optimality.
 func (s *activeSet) run() (*Solution, error) {
 	tol := s.opts.Tol
+	s.stable = s.rowKeys()
 	s.seed()
 	for iter := 0; iter < s.opts.MaxIter; iter++ {
 		xStar, nu, lam, err := s.solveKKT(s.work)
@@ -177,13 +175,10 @@ func (s *activeSet) run() (*Solution, error) {
 				}
 			}
 			if minIdx < 0 {
-				if s.warm {
-					// A warm start can begin within Tol of the optimum
-					// without stepping; land on the KKT point, as the last
-					// full step of a cold solve does.
-					for j := range s.x {
-						s.x[j] += d[j]
-					}
+				// The start point can lie within Tol of the optimum
+				// without a step; land on the KKT point either way.
+				for j := range s.x {
+					s.x[j] += d[j]
 				}
 				sol := s.assemble(nu, lam)
 				sol.Iterations = iter + 1
@@ -238,10 +233,13 @@ func (s *activeSet) run() (*Solution, error) {
 // for a warm start the rows of the previous working set, in its order; for
 // a cold start every row, in row order. At most n − me rows fit an
 // independent set. The whole seed is factored as one KKT system; only when
-// it is dependent are the rows adopted one by one, each kept if the system
-// stays nonsingular. An independent batch is exactly the set the one-by-one
-// scan would build, since every prefix of an independent set is
-// independent.
+// that factorization fails are the rows adopted one by one, each kept if the
+// system stays nonsingular. In exact arithmetic an independent batch is the
+// set the one-by-one scan would build, since every prefix of an independent
+// set is independent. In floating point the two can differ on nearly
+// dependent rows (a factorization succeeds or fails by its pivot threshold),
+// so the batch is a fast path, not a proof of the same working set; the
+// identity gates over the dispatch-driven attacks are what pin the results.
 func (s *activeSet) seed() {
 	order := s.seedRows[:0]
 	if s.warm {
@@ -287,37 +285,29 @@ func (s *activeSet) seed() {
 	}
 }
 
-// warmSeedRows appends to order the row indices of the warm working set's
+// warmSeedRows appends to order the rows named by the warm working set's
 // keys, in warm order; repeated keys and keys naming no row of this problem
 // are dropped.
 func (s *activeSet) warmSeedRows(order []int) []int {
-	keys := growInt64(s.rowKeys, len(s.rows))
-	for i := range s.rows {
-		keys[i] = s.rowKey(i)
+	if s.rowOf == nil {
+		s.rowOf = make(map[int64]int32, len(s.rows))
 	}
-	s.rowKeys = keys
+	clear(s.rowOf)
+	for i, k := range s.keys {
+		s.rowOf[k] = int32(i)
+	}
+	// inWorkBuf is free until the first ratio test; here it marks rows
+	// already taken.
+	taken := growBool(s.inWorkBuf, len(s.rows))
+	s.inWorkBuf = taken
+	clear(taken)
 	for _, k := range s.opts.Warm.Working {
-		if i := slices.Index(keys, k); i >= 0 && !slices.Contains(order, i) {
-			order = append(order, i)
+		if i, ok := s.rowOf[k]; ok && !taken[i] {
+			taken[i] = true
+			order = append(order, int(i))
 		}
 	}
 	return order
-}
-
-// rowKey is rows[i]'s identity in Solution.Working.
-func (s *activeSet) rowKey(i int) int64 {
-	r := &s.rows[i]
-	switch r.kind {
-	case kindUser:
-		if len(s.opts.RowKeys) == len(s.p.gin) {
-			return s.opts.RowKeys[r.idx] << 2
-		}
-		return int64(r.idx) << 2
-	case kindUpper:
-		return int64(r.idx)<<2 | 1
-	default:
-		return int64(r.idx)<<2 | 2
-	}
 }
 
 // tryKKT reports whether the KKT matrix for the given working set is
@@ -368,85 +358,81 @@ func (s *activeSet) initSchur() {
 		return
 	}
 	cache := s.opts.Cache
-	if !s.stableKeys() {
+	if !s.stable {
 		cache = nil // no stable row identity: cross-solve reuse is unsound
-		s.positionalKeys()
 	}
 	if cache != nil && cache.tried && cache.n == n && cache.me == me {
-		if cache.sc != nil {
-			s.schur = cache.sc
-			s.initW0()
-			s.assignSlots()
+		s.schur = cache.sc
+	} else {
+		s.schur = s.buildSchur()
+		if cache != nil {
+			*cache = KKTCache{n: n, me: me, tried: true, sc: s.schur}
 		}
+	}
+	if s.schur == nil {
 		return
 	}
-	sc := s.buildSchur()
-	if cache != nil {
-		*cache = KKTCache{n: n, me: me, tried: true, sc: sc}
-	}
-	if sc != nil {
-		s.schur = sc
-		s.initW0()
-		s.assignSlots()
+	s.initW0()
+	s.slots = growInt32(s.slots, len(s.rows))
+	for i := range s.slots {
+		s.slots[i] = -1
 	}
 }
 
-// assignSlots maps each row's key to its kktSchur slot, giving keys seen
-// for the first time the next free slot.
-func (s *activeSet) assignSlots() {
-	k := s.schur
-	s.slots = growInt32(s.slots, len(s.rows))
-	for i, key := range s.keys {
-		sl, ok := k.slot[key]
-		if !ok {
-			sl = int32(len(k.cols))
-			k.slot[key] = sl
-			k.cols = append(k.cols, nil)
-			if sl < dotSlots {
-				for j := int32(0); j <= sl; j++ {
-					k.dots = append(k.dots, math.NaN())
-				}
+// rowKeys fills keys with each row's identity: user inequality row i is
+// RowKeys[i]<<2, the upper bound of variable j is j<<2|1 and its lower bound
+// j<<2|2. It reports whether the keys are stable across solves; without
+// usable caller keys (missing, wrong length, or outside [0, 2²⁸)) user row i
+// is i<<2 instead, unique within this solve only, and cross-solve caching is
+// off.
+func (s *activeSet) rowKeys() bool {
+	rk := s.opts.RowKeys
+	stable := len(s.p.gin) == 0 || len(rk) == len(s.p.gin)
+	if len(s.p.gin) > 0 && stable {
+		for _, k := range rk {
+			if k < 0 || k >= 1<<28 {
+				stable = false
+				break
 			}
 		}
-		s.slots[i] = sl
 	}
-}
-
-// stableKeys assigns cross-solve row identities: a caller-supplied key for
-// each user inequality row and the variable index for each bound row. It
-// reports false — leaving the keys unset — when the caller provided no (or
-// malformed) keys, in which case cross-solve caching is disabled.
-func (s *activeSet) stableKeys() bool {
-	rk := s.opts.RowKeys
-	if len(s.p.gin) > 0 && len(rk) != len(s.p.gin) {
-		return false
-	}
-	keys := growInt64(s.keys, len(s.rows))
+	s.keys = growInt64(s.keys, len(s.rows))
 	for i := range s.rows {
 		r := &s.rows[i]
 		switch r.kind {
 		case kindUser:
-			k := rk[r.idx]
-			if k < 0 || k >= 1<<28 {
-				return false
+			k := int64(r.idx)
+			if stable {
+				k = rk[r.idx]
 			}
-			keys[i] = k << 2
+			s.keys[i] = k << 2
 		case kindUpper:
-			keys[i] = int64(r.idx)<<2 | 1
+			s.keys[i] = int64(r.idx)<<2 | 1
 		case kindLower:
-			keys[i] = int64(r.idx)<<2 | 2
+			s.keys[i] = int64(r.idx)<<2 | 2
 		}
 	}
-	s.keys = keys
-	return true
+	return stable
 }
 
-// positionalKeys identifies rows by position, valid within one solve only.
-func (s *activeSet) positionalKeys() {
-	s.keys = growInt64(s.keys, len(s.rows))
-	for i := range s.keys {
-		s.keys[i] = int64(i)<<2 | 3
+// slotOf returns row w's kktSchur slot, giving a key seen for the first time
+// the next free slot and a row of NaN (not yet computed) dots.
+func (s *activeSet) slotOf(w int) int32 {
+	if sl := s.slots[w]; sl >= 0 {
+		return sl
 	}
+	k := s.schur
+	sl, ok := k.slot[s.keys[w]]
+	if !ok {
+		sl = int32(len(k.cols))
+		k.slot[s.keys[w]] = sl
+		k.cols = append(k.cols, nil)
+		for j := int32(0); j <= sl; j++ {
+			k.dots = append(k.dots, math.NaN())
+		}
+	}
+	s.slots[w] = sl
+	return sl
 }
 
 // buildSchur assembles and factors the base matrix B sparsely, returning nil
@@ -529,7 +515,7 @@ func (s *activeSet) initW0() {
 // cache never invalidates: B and the gradient behind a key are fixed for
 // the cache's lifetime.
 func (s *activeSet) borderCol(w int) []float64 {
-	sl := s.slots[w]
+	sl := s.slotOf(w)
 	if c := s.schur.cols[sl]; c != nil {
 		return c
 	}
@@ -553,12 +539,9 @@ func (s *activeSet) pairDot(wi, wj int) float64 {
 	if s.keys[wi] > s.keys[wj] {
 		wi, wj = wj, wi
 	}
-	lo, hi := s.slots[wi], s.slots[wj]
+	lo, hi := s.slotOf(wi), s.slotOf(wj)
 	if lo > hi {
 		lo, hi = hi, lo
-	}
-	if hi >= dotSlots {
-		return rowDot(&s.rows[wi], s.borderCol(wj))
 	}
 	at := int(hi)*(int(hi)+1)/2 + int(lo)
 	if v := s.schur.dots[at]; !math.IsNaN(v) {
@@ -772,7 +755,7 @@ func (s *activeSet) assemble(nu, lam []float64) *Solution {
 	}
 	sol.Working = make([]int64, len(s.work))
 	for k, w := range s.work {
-		sol.Working[k] = s.rowKey(w)
+		sol.Working[k] = s.keys[w]
 		r := &s.rows[w]
 		l := lam[k]
 		if l < 0 {

@@ -155,3 +155,57 @@ func TestKKTCacheShapeReset(t *testing.T) {
 		t.Fatalf("objective after cache reset off by %g", d)
 	}
 }
+
+// TestKKTCacheSlotsFollowWorkingRows checks the cached Schur tables grow
+// only with rows that enter a KKT system: many slack rows, none of which can
+// ever be active or block a step, take no slots, and the pair table covers
+// exactly the slots taken. Results stay bit-identical to a fresh cache.
+func TestKKTCacheSlotsFollowWorkingRows(t *testing.T) {
+	const slackRows = 200
+	build := func(shift float64) (*Problem, []int64) {
+		rs := rand.New(rand.NewSource(41))
+		p, keys := randomConvexQP(rs)
+		for i := range p.hin {
+			p.hin[i] += shift
+		}
+		for i := 0; i < slackRows; i++ {
+			g := make([]float64, p.n)
+			g[rs.Intn(p.n)] = 1
+			_, _ = p.AddInequality(g, 1e6)
+			keys = append(keys, int64(len(keys)))
+		}
+		return p, keys
+	}
+	shared := &KKTCache{}
+	r := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 10; trial++ {
+		shift := 0.5 * r.Float64()
+		pa, keys := build(shift)
+		a, aerr := SolveWith(pa, Options{Cache: shared, RowKeys: keys})
+		pb, keysB := build(shift)
+		b, berr := SolveWith(pb, Options{Cache: &KKTCache{}, RowKeys: keysB})
+		if (aerr == nil) != (berr == nil) {
+			t.Fatalf("trial %d: cached err %v vs fresh err %v", trial, aerr, berr)
+		}
+		if aerr != nil {
+			continue
+		}
+		for j := range a.X {
+			if a.X[j] != b.X[j] {
+				t.Fatalf("trial %d: cached x[%d] %.17g != fresh %.17g", trial, j, a.X[j], b.X[j])
+			}
+		}
+	}
+	sc := shared.sc
+	if sc == nil {
+		t.Fatal("Schur path did not engage")
+	}
+	p, _ := build(0)
+	s := len(sc.cols)
+	if limit := 2*p.n + len(p.gin) - slackRows; s == 0 || s > limit {
+		t.Fatalf("%d slots taken; want 1..%d (bounds and non-slack rows only)", s, limit)
+	}
+	if len(sc.dots) != s*(s+1)/2 || len(sc.slot) != s {
+		t.Fatalf("%d slots but %d pair dots and %d keys", s, len(sc.dots), len(sc.slot))
+	}
+}

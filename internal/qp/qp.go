@@ -136,7 +136,7 @@ type Solution struct {
 	// Iterations is the number of active-set iterations performed.
 	Iterations int
 	// Working is the final working set as row keys, in working-set order:
-	// user inequality row i is RowKeys[i]<<2 (i<<2 without RowKeys), the
+	// user inequality row i is RowKeys[i]<<2 (i<<2 without usable RowKeys), the
 	// upper bound of variable j is j<<2|1 and its lower bound j<<2|2.
 	// Together with X it is the state a later solve of a nearby problem
 	// starts from through Options.Warm.

@@ -20,7 +20,7 @@ type qpScratch struct {
 	work      []int
 	keys      []int64
 	slots     []int32
-	rowKeys   []int64
+	rowOf     map[int64]int32
 	seedRows  []int
 	w0        []float64
 	rw0       []float64
@@ -63,7 +63,7 @@ func (sc *qpScratch) attach(p *Problem, rows []ineqRow, x []float64, opts Option
 	s.work = sc.work[:0]
 	s.keys = sc.keys[:0]
 	s.slots = sc.slots[:0]
-	s.rowKeys = sc.rowKeys[:0]
+	s.rowOf = sc.rowOf
 	s.seedRows = sc.seedRows[:0]
 	s.w0 = sc.w0[:0]
 	s.rw0 = sc.rw0[:0]
@@ -92,7 +92,7 @@ func (sc *qpScratch) reclaim(s *activeSet) {
 	sc.work = s.work[:0]
 	sc.keys = s.keys[:0]
 	sc.slots = s.slots[:0]
-	sc.rowKeys = s.rowKeys[:0]
+	sc.rowOf = s.rowOf
 	sc.seedRows = s.seedRows[:0]
 	sc.w0 = s.w0[:0]
 	sc.rw0 = s.rw0[:0]
