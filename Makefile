@@ -113,9 +113,9 @@ bench-serve-baseline:
 ## bench-alloc: the allocation regression gate — the zero-allocation pins on
 ## the solver hot kernels (CSR·dense batch, blocked GEMM, FTRAN/BTRAN, warm
 ## workspace re-solve, via testing.AllocsPerRun and -benchmem discipline),
-## the pooled-vs-DisablePooling bit-identity gate across worker counts, and
-## the ≥5× per-node allocation saving pinned live and against the recorded
-## BENCH_serve.json figures.
+## the pooled-vs-unpooled (core.Hooks.DisablePooling) bit-identity gate
+## across worker counts, and the ≥5× per-node allocation saving pinned live
+## and against the recorded BENCH_serve.json figures.
 bench-alloc:
 	$(GO) test -run 'TestMulDenseIntoZeroAlloc|TestLUSolveZeroAlloc|TestMulBlockedIntoZeroAlloc|TestFTRANBTRANZeroAlloc|TestWarmResolveZeroAlloc' -count=1 -v ./internal/sparse/ ./internal/mat/ ./internal/lp/
 	$(GO) test -run 'TestPoolingIdentityGate|TestAllocGate' -count=1 -timeout 20m -v .

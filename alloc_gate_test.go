@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	edattack "github.com/edsec/edattack"
+	"github.com/edsec/edattack/internal/core"
 	"github.com/edsec/edattack/internal/lp"
 )
 
@@ -32,16 +33,14 @@ func attackAllocRun(tb testing.TB, caseName string, o edattack.AttackOptions) (*
 
 // perNodeAllocs measures the marginal allocation cost of one extra
 // branch-and-bound node: two otherwise-identical budgeted runs (MaxNodes 1
-// vs maxNodes), ΔMallocs over Δnodes. NoDive keeps the delta pure
-// branch-and-bound, Workers 1 keeps it deterministic, ForceSparse pins the
-// engine the workspaces serve.
+// vs maxNodes), ΔMallocs over Δnodes. The NoDive hook keeps the delta pure
+// branch-and-bound, Workers 1 keeps it deterministic, the ForceSparse hook
+// pins the engine the workspaces serve.
 func perNodeAllocs(tb testing.TB, caseName string, maxNodes int, disablePooling bool) float64 {
 	tb.Helper()
 	opts := func(nodes int) edattack.AttackOptions {
-		return edattack.AttackOptions{
-			MaxNodes: nodes, Workers: 1, NoDive: true, ForceSparse: true,
-			DisablePooling: disablePooling,
-		}
+		return core.WithHooks(edattack.AttackOptions{MaxNodes: nodes, Workers: 1},
+			core.Hooks{NoDive: true, ForceSparse: true, DisablePooling: disablePooling})
 	}
 	small, smallAllocs := attackAllocRun(tb, caseName, opts(1))
 	big, bigAllocs := attackAllocRun(tb, caseName, opts(maxNodes))
@@ -146,7 +145,7 @@ func TestPoolingIdentityGate(t *testing.T) {
 				t.Fatalf("%s workers=%d: %v", name, workers, err)
 			}
 			unpooled, err := edattack.FindOptimalAttack(knowledgeCase(t, name),
-				edattack.AttackOptions{Workers: workers, DisablePooling: true})
+				core.WithHooks(edattack.AttackOptions{Workers: workers}, core.Hooks{DisablePooling: true}))
 			if err != nil {
 				t.Fatalf("%s workers=%d nopool: %v", name, workers, err)
 			}
@@ -162,8 +161,7 @@ func TestPoolingIdentityGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nopool := budget
-	nopool.DisablePooling = true
+	nopool := core.WithHooks(budget, core.Hooks{DisablePooling: true})
 	unpooled, err := edattack.FindOptimalAttack(knowledgeCase(t, "case118"), nopool)
 	if err != nil {
 		t.Fatal(err)

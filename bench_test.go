@@ -560,7 +560,8 @@ func TestRecordSolverBaseline(t *testing.T) {
 		ParallelWorkers  int     `json:"parallel_workers"`
 		Speedup          float64 `json:"speedup"`
 		// Sparse revised-simplex run (the default engine; the counts above
-		// pin the dense tableau via DenseSolver). Same budgets, Workers=1.
+		// pin the dense tableau via the DenseSolver hook). Same budgets,
+		// Workers=1.
 		// Under a truncating node budget the engines legitimately explore
 		// different branch-and-bound trees, so the sparse run gets its own
 		// iteration/gain record. FTRAN/BTRAN solves and basis
@@ -578,9 +579,9 @@ func TestRecordSolverBaseline(t *testing.T) {
 		SparseWallMs            float64 `json:"sparse_wall_ms"`
 		SparseSpeedup           float64 `json:"sparse_speedup"`
 	}
-	// Dense-engine budgets, matching warmGateOpts(): the recorded
-	// trajectory fields stay trajectories of the dense tableau oracle.
-	opts := edattack.AttackOptions{MaxNodes: 40, RelGap: 1e-3, DenseSolver: true, NoDive: true}
+	// Dense-engine budgets: the recorded trajectory fields stay
+	// trajectories of the dense tableau oracle.
+	opts := warmGateOpts()
 	var records []record
 	for _, name := range []string{"case9", "case30", "case57", "case118"} {
 		k := knowledgeCase(t, name)
@@ -607,7 +608,9 @@ func TestRecordSolverBaseline(t *testing.T) {
 		// metrics registry attached so revised-simplex work counters and
 		// the problem shape land in the record.
 		reg := telemetry.NewRegistry()
-		spOpts := edattack.AttackOptions{MaxNodes: 40, RelGap: 1e-3, Workers: 1, Metrics: reg, NoDive: true}
+		spOpts := sparseGateOpts()
+		spOpts.Workers = 1
+		spOpts.Metrics = reg
 		spStart := time.Now()
 		spAtt, err := edattack.FindOptimalAttack(k, spOpts)
 		if err != nil {

@@ -34,6 +34,15 @@ import (
 	"github.com/edsec/edattack/internal/telemetry"
 )
 
+// Connection timeouts. A client gets readHeaderTimeout to send its request
+// headers and an idle keep-alive connection is closed after idleTimeout.
+// There is deliberately no read or write timeout: an NDJSON job stream runs
+// as long as the job's own deadline.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	if err := run(); err != nil {
 		fmt.Fprintln(os.Stderr, "edserve:", err)
@@ -72,7 +81,11 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: s.Handler()}
+	srv := &http.Server{
+		Handler:           s.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 	fmt.Printf("edserve listening on %s\n", ln.Addr())

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/edsec/edattack/internal/dispatch"
+	"github.com/edsec/edattack/internal/grid"
 	"github.com/edsec/edattack/internal/par"
 	"github.com/edsec/edattack/internal/telemetry"
 )
@@ -59,13 +60,12 @@ func FindOptimalAttack(k *Knowledge, o Options) (*Attack, error) {
 	if err := ctxErr(o.Ctx, "run"); err != nil {
 		return nil, err
 	}
-	if o.DenseSolver && !k.Model.DenseSolver {
+	if o.hooks.DenseSolver {
 		// Run the whole attack — dispatch evaluations included — on the
 		// dense engines, without mutating the caller's model.
 		// Fresh memo: cached sparse-engine results must not leak into a
 		// dense run (the engines agree on attacks, not on every last bit).
-		k = &Knowledge{Model: k.Model.ShallowClone(), TrueDLR: k.TrueDLR, memo: newEDMemo()}
-		k.Model.DenseSolver = true
+		k = &Knowledge{Model: dispatch.DenseClone(k.Model), TrueDLR: k.TrueDLR, memo: newEDMemo()}
 	}
 	dlrLines := k.Model.Net.DLRLines()
 	if len(dlrLines) == 0 {
@@ -80,50 +80,39 @@ func FindOptimalAttack(k *Knowledge, o Options) (*Attack, error) {
 	defer root.End()
 
 	// A sequential fan-out (one resolved worker) runs inline on this
-	// goroutine, so the parallel machinery is bypassed: the incumbent bound
-	// drops its atomics, and tasks share the caller's model — with the
-	// warm-start memory reset per task to the state a fresh clone would
-	// start in — instead of paying a ShallowClone each. Results are
-	// bit-identical either way; only the overhead differs.
-	seq := par.Resolve(o.Workers, 2*len(dlrLines)) == 1
-	inc := &incumbentBound{seq: seq}
+	// goroutine, so the incumbent bound drops its atomics.
+	inc := &incumbentBound{seq: par.Resolve(o.Workers, 2*len(dlrLines)) == 1}
 
 	// Warm start (before the fan-out): the greedy vertex attack gives a
 	// realized, achievable gain that prunes every subproblem that cannot
 	// beat it.
 	var best *Attack
-	if !o.NoSeed {
-		seedSpan := telemetry.StartSpan(nil, root, "core.greedy_seed")
-		grd, err := greedyVertexAttack(k, o.Workers, o.Ctx, o.DisablePooling)
-		if err == nil {
-			grd.Exact = false // a seed, not a proven optimum
-			best = grd
-			inc.Offer(grd.GainPct)
-			o.Flight.Record(telemetry.FlightEvent{
-				Kind:      telemetry.FlightIncumbent,
-				Target:    grd.TargetLine,
-				Dir:       grd.Direction,
-				Incumbent: grd.GainPct,
-				Label:     "seed",
-			})
-			seedSpan.SetAttr("gain_pct", grd.GainPct)
-		} else if !errors.Is(err, ErrNoFeasibleAttack) {
-			seedSpan.End()
-			return nil, fmt.Errorf("core: greedy seeding: %w", err)
-		}
+	seedSpan := telemetry.StartSpan(nil, root, "core.greedy_seed")
+	grd, err := greedyVertexAttack(k, o)
+	if err == nil {
+		best = grd // Exact stays false: a seed, not a proven optimum
+		inc.Offer(grd.GainPct)
+		o.Flight.Record(telemetry.FlightEvent{
+			Kind:      telemetry.FlightIncumbent,
+			Target:    grd.TargetLine,
+			Dir:       grd.Direction,
+			Incumbent: grd.GainPct,
+			Label:     "seed",
+		})
+		seedSpan.SetAttr("gain_pct", grd.GainPct)
+	} else if !errors.Is(err, ErrNoFeasibleAttack) {
 		seedSpan.End()
+		return nil, fmt.Errorf("core: greedy seeding: %w", err)
 	}
+	seedSpan.End()
 
 	// Shared solve-invariant scaffolding, built once on the caller's model
 	// (its dispatch warm start is the one mutation, and it happens before
 	// any worker exists).
 	pre := precompute(k, o)
 
-	// Fan out. Each task gets its own shallow model clone so its solve
-	// trajectory never depends on which goroutine (or predecessor task)
-	// touched the warm-start state — a precondition for worker-count
-	// independence. Results land in per-task slots; the merge below runs
-	// in fixed task order.
+	// Fan out. Results land in per-task slots; the merge below runs in
+	// fixed task order.
 	type task struct{ line, dir int }
 	tasks := make([]task, 0, 2*len(dlrLines))
 	for _, li := range dlrLines {
@@ -131,26 +120,8 @@ func FindOptimalAttack(k *Knowledge, o Options) (*Attack, error) {
 	}
 	atts := make([]*Attack, len(tasks))
 	substats := make([]*SolverStats, len(tasks))
-	errs := make([]error, len(tasks))
-	var saved dispatch.WarmState
-	if seq {
-		saved = k.Model.WarmStartState()
-	}
-	par.Each(o.Workers, len(tasks), func(i int) {
-		if err := ctxErr(o.Ctx, "subproblem fan-out"); err != nil {
-			errs[i] = err
-			return
-		}
-		kw := k
-		if seq {
-			kw.Model.ResetWarmStart()
-		} else {
-			kw = k.forWorker()
-		}
-		ot := o
-		release := ot.checkoutWorkspaces(kw.Model)
+	errs := eachTask(k, o, len(tasks), "subproblem fan-out", func(i int, kw *Knowledge, ot Options) error {
 		att, st, err := solveSubproblemSeeded(kw, tasks[i].line, tasks[i].dir, ot, inc, pre, root)
-		release()
 		// Publish only positive gains. A zero-gain result (a clamped
 		// non-violating optimum) prunes nothing a sibling could not already
 		// rule out, but publishing it mid-flight would SET an otherwise
@@ -168,13 +139,9 @@ func FindOptimalAttack(k *Knowledge, o Options) (*Attack, error) {
 				Label:     "shared",
 			})
 		}
-		atts[i], substats[i], errs[i] = att, st, err
+		atts[i], substats[i] = att, st
+		return err
 	})
-	if seq {
-		// Leave the caller's model exactly as the parallel path would: the
-		// clone-per-task schedule never touches it after precompute.
-		k.Model.RestoreWarmStart(saved)
-	}
 
 	anyFeasible := best != nil
 	totalNodes := 0
@@ -219,31 +186,32 @@ func FindOptimalAttack(k *Knowledge, o Options) (*Attack, error) {
 	// Rich refinement: one deeper deterministic polish of the single winner
 	// (wider candidate set than the per-subproblem dives — paying it 2·|E_D|
 	// times would dominate the run). The winner and its raw ratings are
-	// already schedule-independent, so the refined attack is too. A fresh
-	// worker clone keeps the caller's model untouched; strict improvement
-	// only, so a no-op polish leaves the merge result bit-identical.
-	if !o.NoDive && best.GainPct > 0 {
+	// already schedule-independent, so the refined attack is too. Strict
+	// improvement only, so a no-op polish leaves the merge result
+	// bit-identical.
+	if !o.hooks.NoDive && best.GainPct > 0 {
 		raw := best.rawDLR
 		if raw == nil {
 			raw = best.DLR
 		}
-		kw := k.forWorker()
-		ot := o
-		release := ot.checkoutWorkspaces(kw.Model)
-		defer release()
-		sp := newSubproblem(kw, best.TargetLine, float64(best.Direction), pre.monitored, ot, pre)
-		if rg, rdlr, rres, ok := sp.polish(raw, true); ok {
-			if rg = quantize(rg, gainQuantum); rg > best.GainPct {
-				nb := *best
-				nb.GainPct = rg
-				nb.DLR = canonicalDLR(kw, rdlr, rres.Flows)
-				nb.rawDLR = rdlr
-				nb.PredictedP = rres.P
-				nb.PredictedFlows = rres.Flows
-				nb.PredictedCost = kw.Model.Cost(rres.P)
-				best = &nb
+		// The only error is a done context, which skips the polish and
+		// which the final context check reports.
+		_ = eachTask(k, o, 1, "winner polish", func(_ int, kw *Knowledge, ot Options) error {
+			sp := newSubproblem(kw, best.TargetLine, float64(best.Direction), pre.monitored, ot, pre)
+			if rg, rdlr, rres, ok := sp.polish(raw, true); ok {
+				if rg = quantize(rg, gainQuantum); rg > best.GainPct {
+					nb := *best
+					nb.GainPct = rg
+					nb.DLR = canonicalDLR(kw, rdlr, rres.Flows)
+					nb.rawDLR = rdlr
+					nb.PredictedP = rres.P
+					nb.PredictedFlows = rres.Flows
+					nb.PredictedCost = kw.Model.Cost(rres.P)
+					best = &nb
+				}
 			}
-		}
+			return nil
+		})
 	}
 	best.Nodes = totalNodes
 	best.Exact = exact
@@ -292,100 +260,48 @@ func FindOptimalAttack(k *Knowledge, o Options) (*Attack, error) {
 // vertex candidates through the operator's actual dispatch and keeps the
 // best stealthy-feasible one.
 func GreedyVertexAttack(k *Knowledge) (*Attack, error) {
-	return greedyVertexAttack(k, 0, nil, false)
+	return greedyVertexAttack(k, Options{})
 }
 
-// greedyVertexAttack evaluates the vertex candidates over a worker pool.
-// Candidates are independent dispatch solves; each runs against its own
-// shallow model clone and results merge in candidate order (strict
-// improvement), so the outcome matches the sequential sweep exactly.
-// A non-nil ctx is checked per candidate; a done context errors the sweep.
-func greedyVertexAttack(k *Knowledge, workers int, ctx context.Context, noPool bool) (*Attack, error) {
-	net := k.Model.Net
-	dlrLines := net.DLRLines()
+// greedyVertexAttack scores the vertex candidates over o.Workers goroutines,
+// checking o.Ctx per candidate.
+func greedyVertexAttack(k *Knowledge, o Options) (*Attack, error) {
+	dlrLines := k.Model.Net.DLRLines()
 	if len(dlrLines) == 0 {
 		return nil, ErrNoDLRLines
 	}
-	seq := par.Resolve(workers, len(dlrLines)) == 1
-	var saved dispatch.WarmState
-	if seq {
-		saved = k.Model.WarmStartState()
+	dlrs := make([]map[int]float64, len(dlrLines))
+	for i, target := range dlrLines {
+		dlrs[i] = vertexDLR(k.Model.Net, dlrLines, target)
 	}
-	cands := make([]*Attack, len(dlrLines))
-	errs := make([]error, len(dlrLines))
-	par.Each(workers, len(dlrLines), func(i int) {
-		if err := ctxErr(ctx, "greedy candidate"); err != nil {
-			errs[i] = err
-			return
-		}
-		target := dlrLines[i]
-		dlr := make(map[int]float64, len(dlrLines))
-		for _, li := range dlrLines {
-			if li == target {
-				dlr[li] = net.Lines[li].DLRMax
-			} else {
-				dlr[li] = net.Lines[li].DLRMin
-			}
-		}
-		kw := k
-		if seq {
-			kw.Model.ResetWarmStart()
+	return bestOf(k, o, "greedy", dlrs)
+}
+
+// vertexDLR is the greedy vertex toward target: its rating at the band
+// maximum, every other DLR line at the band minimum.
+func vertexDLR(net *grid.Network, dlrLines []int, target int) map[int]float64 {
+	dlr := make(map[int]float64, len(dlrLines))
+	for _, li := range dlrLines {
+		if li == target {
+			dlr[li] = net.Lines[li].DLRMax
 		} else {
-			kw = k.forWorker()
-		}
-		release := checkoutModelWorkspace(kw.Model, noPool)
-		ev, err := kw.EvaluateAttack(dlr)
-		release()
-		if err != nil {
-			errs[i] = fmt.Errorf("core: greedy candidate for line %d: %w", target, err)
-			return
-		}
-		if !ev.Feasible {
-			return
-		}
-		cands[i] = &Attack{
-			DLR:            dlr,
-			TargetLine:     ev.WorstLine,
-			Direction:      ev.Direction,
-			GainPct:        ev.GainPct,
-			PredictedP:     ev.Dispatch.P,
-			PredictedFlows: ev.Dispatch.Flows,
-			PredictedCost:  ev.Dispatch.Cost,
-		}
-	})
-	if seq {
-		k.Model.RestoreWarmStart(saved)
-	}
-	var best *Attack
-	for i := range cands {
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
-		if cands[i] == nil {
-			continue
-		}
-		if best == nil || cands[i].GainPct > best.GainPct {
-			best = cands[i]
+			dlr[li] = net.Lines[li].DLRMin
 		}
 	}
-	if best == nil {
-		return nil, ErrNoFeasibleAttack
-	}
-	return best, nil
+	return dlr
 }
 
 // RandomAttack samples manipulations uniformly from the plausibility box and
 // keeps the best stealthy-feasible one — the weakest baseline, quantifying
 // how much the physics-aware optimization buys the attacker.
 func RandomAttack(k *Knowledge, samples int, seed int64) (*Attack, error) {
-	return randomAttack(k, samples, seed, 0, false)
+	return randomAttack(k, samples, seed, Options{})
 }
 
-// randomAttack draws every sample from the seeded rng sequentially — so the
+// randomAttack draws every sample from the seeded rng up front — so the
 // sample sequence is a pure function of the seed regardless of worker count
-// — then evaluates the candidates over a worker pool and merges in sample
-// order.
-func randomAttack(k *Knowledge, samples int, seed int64, workers int, noPool bool) (*Attack, error) {
+// — then scores them over o.Workers goroutines.
+func randomAttack(k *Knowledge, samples int, seed int64, o Options) (*Attack, error) {
 	net := k.Model.Net
 	dlrLines := net.DLRLines()
 	if len(dlrLines) == 0 {
@@ -396,7 +312,7 @@ func randomAttack(k *Knowledge, samples int, seed int64, workers int, noPool boo
 	}
 	rng := rand.New(rand.NewSource(seed))
 	dlrs := make([]map[int]float64, samples)
-	for s := 0; s < samples; s++ {
+	for s := range dlrs {
 		dlr := make(map[int]float64, len(dlrLines))
 		for _, li := range dlrLines {
 			l := &net.Lines[li]
@@ -404,53 +320,32 @@ func randomAttack(k *Knowledge, samples int, seed int64, workers int, noPool boo
 		}
 		dlrs[s] = dlr
 	}
-	seq := par.Resolve(workers, samples) == 1
-	var saved dispatch.WarmState
-	if seq {
-		saved = k.Model.WarmStartState()
-	}
-	cands := make([]*Attack, samples)
-	errs := make([]error, samples)
-	par.Each(workers, samples, func(s int) {
-		kw := k
-		if seq {
-			kw.Model.ResetWarmStart()
-		} else {
-			kw = k.forWorker()
-		}
-		release := checkoutModelWorkspace(kw.Model, noPool)
-		ev, err := kw.EvaluateAttack(dlrs[s])
-		release()
+	return bestOf(k, o, "random", dlrs)
+}
+
+// bestOf scores candidate rating vectors through the operator's dispatch
+// and returns the stealthy-feasible one with the largest realized gain. The
+// first such candidate wins ties and the merge runs in candidate order, so
+// the result matches the sequential sweep for every worker count.
+func bestOf(k *Knowledge, o Options, what string, dlrs []map[int]float64) (*Attack, error) {
+	cands := make([]*Attack, len(dlrs))
+	errs := eachTask(k, o, len(dlrs), what+" candidate", func(i int, kw *Knowledge, _ Options) error {
+		ev, err := kw.EvaluateAttack(dlrs[i])
 		if err != nil {
-			errs[s] = fmt.Errorf("core: random candidate %d: %w", s, err)
-			return
+			return fmt.Errorf("core: %s candidate %d: %w", what, i, err)
 		}
-		if !ev.Feasible {
-			return
+		if ev.Feasible {
+			cands[i] = ev.attack(dlrs[i])
 		}
-		cands[s] = &Attack{
-			DLR:            dlrs[s],
-			TargetLine:     ev.WorstLine,
-			Direction:      ev.Direction,
-			GainPct:        ev.GainPct,
-			PredictedP:     ev.Dispatch.P,
-			PredictedFlows: ev.Dispatch.Flows,
-			PredictedCost:  ev.Dispatch.Cost,
-		}
+		return nil
 	})
-	if seq {
-		k.Model.RestoreWarmStart(saved)
-	}
 	var best *Attack
-	for s := range cands {
-		if errs[s] != nil {
-			return nil, errs[s]
+	for i, c := range cands {
+		if errs[i] != nil {
+			return nil, errs[i]
 		}
-		if cands[s] == nil {
-			continue
-		}
-		if best == nil || cands[s].GainPct > best.GainPct {
-			best = cands[s]
+		if c != nil && (best == nil || c.GainPct > best.GainPct) {
+			best = c
 		}
 	}
 	if best == nil {

@@ -83,7 +83,6 @@ type subproblem struct {
 	monitored []int // line indices whose flow constraints the inner ED sees
 	dlrOrder  []int // DLR line indices in variable order
 	method    Method
-	bigM      float64
 	cuts      bool // register λ/s pairs under big-M for cut generation
 
 	// variable offsets in the master LP
@@ -133,7 +132,6 @@ func newSubproblem(k *Knowledge, target int, dir float64, monitored []int, o Opt
 		k: k, target: target, dir: dir,
 		monitored: append([]int(nil), monitored...),
 		method:    o.Method,
-		bigM:      o.BigM,
 		cuts:      o.Cuts,
 		metrics:   o.Metrics,
 		ctx:       o.Ctx,
@@ -320,11 +318,11 @@ func (s *subproblem) build() (*milp.Problem, error) {
 				return nil, fmt.Errorf("core: %w", err)
 			}
 			if _, err := base.AddSparseConstraint(
-				[]int{s.lamOff + j, mu}, []float64{1, -s.bigM}, lp.LE, 0); err != nil {
+				[]int{s.lamOff + j, mu}, []float64{1, -bigM}, lp.LE, 0); err != nil {
 				return nil, fmt.Errorf("core: %w", err)
 			}
 			if _, err := base.AddSparseConstraint(
-				[]int{s.sOff + j, mu}, []float64{1, s.bigM}, lp.LE, s.bigM); err != nil {
+				[]int{s.sOff + j, mu}, []float64{1, bigM}, lp.LE, bigM); err != nil {
 				return nil, fmt.Errorf("core: %w", err)
 			}
 		}
@@ -657,9 +655,9 @@ func (s *subproblem) solveOnce(o Options, incumbent *float64, bound milp.BoundSo
 	}
 	s.solvedBase = prob.Base
 	var warmRoot *lp.Basis
-	if prev != nil && !o.NoWarmStart {
+	if prev != nil && !o.hooks.NoWarmStart {
 		warmRoot = prev.remapRootBasis(s, prob.Base)
-	} else if s.warmSeed != nil && !o.NoWarmStart {
+	} else if s.warmSeed != nil && !o.hooks.NoWarmStart {
 		warmRoot = s.warmSeed
 	}
 	sol, err := milp.SolveWith(prob, milp.Options{
@@ -673,8 +671,8 @@ func (s *subproblem) solveOnce(o Options, incumbent *float64, bound milp.BoundSo
 		Presolve:         o.Presolve,
 		Cuts:             o.Cuts,
 		WarmBasis:        warmRoot,
-		DisableWarmStart: o.NoWarmStart,
-		LP:               lp.Options{DenseSolver: o.DenseSolver, ForceSparse: o.ForceSparse, Workspace: o.ws},
+		DisableWarmStart: o.hooks.NoWarmStart,
+		LP:               lp.Options{DenseSolver: o.hooks.DenseSolver, ForceSparse: o.hooks.ForceSparse, Workspace: o.ws},
 		Ctx:              o.Ctx,
 		Metrics:          s.metrics,
 		Span:             s.span,
@@ -695,7 +693,7 @@ func (s *subproblem) solveOnce(o Options, incumbent *float64, bound milp.BoundSo
 	}
 	// Big-M reformulations go numerically wrong exactly when multipliers
 	// approach the constant; record how close this solve came.
-	if s.method == MethodBigM && sol.X != nil && s.metrics != nil && s.bigM > 0 {
+	if s.method == MethodBigM && sol.X != nil && s.metrics != nil {
 		maxMult := 0.0
 		for j := 0; j < s.ni; j++ {
 			if v := sol.X[s.lamOff+j]; v > maxMult {
@@ -705,7 +703,7 @@ func (s *subproblem) solveOnce(o Options, incumbent *float64, bound milp.BoundSo
 				maxMult = v
 			}
 		}
-		ratio := maxMult / s.bigM
+		ratio := maxMult / bigM
 		s.metrics.Gauge("core_bigm_max_ratio").SetMax(ratio)
 		if ratio > 0.99 {
 			s.metrics.Counter("core_bigm_saturated_total").Inc()
@@ -750,9 +748,11 @@ func (s *subproblem) solveOnce(o Options, incumbent *float64, bound milp.BoundSo
 // growing the monitored line set by row generation until the predicted
 // dispatch is feasible for the operator's full constraint set.
 func SolveSubproblem(k *Knowledge, target int, dir int, o Options) (*Attack, error) {
-	release := o.checkoutWorkspaces(k.Model)
-	att, _, err := solveSubproblemSeeded(k, target, dir, o, nil, nil, nil)
-	release()
+	var att *Attack
+	err := eachTask(k, o, 1, "subproblem", func(_ int, kw *Knowledge, ot Options) (err error) {
+		att, _, err = solveSubproblemSeeded(kw, target, dir, ot, nil, nil, nil)
+		return err
+	})[0]
 	return att, err
 }
 
@@ -837,7 +837,7 @@ func solveSubproblemSeeded(k *Knowledge, target int, dir int, o Options, inc *in
 			return nil, nil, fmt.Errorf("core: subproblem line %d dir %+d aborted: %w", target, dir, err)
 		}
 	}
-	if !o.NoDive {
+	if !o.hooks.NoDive {
 		diveSP := newSubproblem(k, target, float64(dir), monitored, o, pre)
 		diveGain, diveDLR, diveRes, haveDive = diveSP.dive()
 	}
@@ -983,7 +983,7 @@ func solveSubproblemSeeded(k *Knowledge, target int, dir int, o Options, inc *in
 		sp := newSubproblem(k, target, float64(dir), monitored, o, pre)
 		sp.span = span
 		sp.round = rounds
-		if round == 0 && o.Warm != nil && !o.NoWarmStart {
+		if round == 0 && o.Warm != nil && !o.hooks.NoWarmStart {
 			sp.warmSeed = o.Warm.lookup(target, dir, sp)
 		}
 		var seed *float64
@@ -997,7 +997,7 @@ func solveSubproblemSeeded(k *Knowledge, target int, dir int, o Options, inc *in
 			bound = sb
 		}
 		res, err := sp.solveOnce(o, seed, bound, prevRound)
-		if round == 0 && o.Warm != nil && !o.NoWarmStart {
+		if round == 0 && o.Warm != nil && !o.hooks.NoWarmStart {
 			o.Warm.store(target, dir, sp)
 		}
 		totalNodes += sp.solvedNodes
@@ -1105,7 +1105,7 @@ func solveSubproblemSeeded(k *Knowledge, target int, dir int, o Options, inc *in
 			// models attacks whose binding lines are monitored; the polish
 			// explores the quantized rating band directly and routinely
 			// recovers gains the KKT encoding cannot certify.
-			if !o.NoDive {
+			if !o.hooks.NoDive {
 				if pg, pdlr, pres, ok := sp.polish(res.dlr, false); ok && pg > res.gain+gainQuantum/2 {
 					res.gain = pg
 					res.dlr = pdlr
@@ -1186,10 +1186,11 @@ func canonicalDLR(k *Knowledge, dlr map[int]float64, flows []float64) map[int]fl
 }
 
 // initialMonitoredSet seeds row generation: all DLR lines plus any line
-// binding in the no-attack dispatch (or every rated line when MonitorAll).
+// binding in the no-attack dispatch (or every rated line under the
+// MonitorAll hook).
 func initialMonitoredSet(k *Knowledge, o Options) []int {
 	net := k.Model.Net
-	if o.MonitorAll {
+	if o.hooks.MonitorAll {
 		all := make([]int, 0, len(net.Lines))
 		for li := range net.Lines {
 			if net.Ratings(k.TrueDLR)[li] > 0 {

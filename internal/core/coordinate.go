@@ -50,23 +50,10 @@ func CoordinateAscentAttack(k *Knowledge, o CoordinateOptions) (*Attack, error) 
 	}
 	starts = append(starts, identity)
 	for _, target := range dlrLines {
-		v := make(map[int]float64, len(dlrLines))
-		for _, li := range dlrLines {
-			if li == target {
-				v[li] = net.Lines[li].DLRMax
-			} else {
-				v[li] = net.Lines[li].DLRMin
-			}
-		}
-		starts = append(starts, v)
+		starts = append(starts, vertexDLR(net, dlrLines, target))
 	}
 
-	type scored struct {
-		dlr  map[int]float64
-		ev   *Evaluation
-		gain float64
-	}
-	evaluate := func(dlr map[int]float64) (*scored, error) {
+	evaluate := func(dlr map[int]float64) (*Attack, error) {
 		ev, err := k.EvaluateAttack(dlr)
 		if err != nil {
 			return nil, err
@@ -74,10 +61,10 @@ func CoordinateAscentAttack(k *Knowledge, o CoordinateOptions) (*Attack, error) 
 		if !ev.Feasible {
 			return nil, nil
 		}
-		return &scored{dlr: dlr, ev: ev, gain: ev.GainPct}, nil
+		return ev.attack(dlr), nil
 	}
 
-	var best *scored
+	var best *Attack
 	for si, start := range starts {
 		cur, err := evaluate(start)
 		if err != nil {
@@ -90,19 +77,19 @@ func CoordinateAscentAttack(k *Knowledge, o CoordinateOptions) (*Attack, error) 
 			improved := false
 			for _, li := range dlrLines {
 				l := &net.Lines[li]
-				bestVal := cur.dlr[li]
+				bestVal := cur.DLR[li]
 				for g := 0; g < o.GridPoints; g++ {
 					v := l.DLRMin + (l.DLRMax-l.DLRMin)*float64(g)/float64(o.GridPoints-1)
 					if math.Abs(v-bestVal) < 1e-9 {
 						continue
 					}
-					trial := cloneDLR(cur.dlr)
+					trial := cloneDLR(cur.DLR)
 					trial[li] = v
 					cand, err := evaluate(trial)
 					if err != nil {
 						return nil, fmt.Errorf("core: coordinate trial: %w", err)
 					}
-					if cand != nil && cand.gain > cur.gain+1e-9 {
+					if cand != nil && cand.GainPct > cur.GainPct+1e-9 {
 						cur = cand
 						improved = true
 					}
@@ -112,23 +99,14 @@ func CoordinateAscentAttack(k *Knowledge, o CoordinateOptions) (*Attack, error) 
 				break
 			}
 		}
-		if best == nil || cur.gain > best.gain {
+		if best == nil || cur.GainPct > best.GainPct {
 			best = cur
 		}
 	}
 	if best == nil {
 		return nil, ErrNoFeasibleAttack
 	}
-	return &Attack{
-		DLR:            best.dlr,
-		TargetLine:     best.ev.WorstLine,
-		Direction:      best.ev.Direction,
-		GainPct:        best.gain,
-		PredictedP:     best.ev.Dispatch.P,
-		PredictedFlows: best.ev.Dispatch.Flows,
-		PredictedCost:  best.ev.Dispatch.Cost,
-		Exact:          false,
-	}, nil
+	return best, nil
 }
 
 func cloneDLR(in map[int]float64) map[int]float64 {

@@ -32,6 +32,7 @@ import (
 	"github.com/edsec/edattack/internal/grid"
 	"github.com/edsec/edattack/internal/lp"
 	"github.com/edsec/edattack/internal/milp"
+	"github.com/edsec/edattack/internal/par"
 	"github.com/edsec/edattack/internal/telemetry"
 )
 
@@ -41,47 +42,63 @@ import (
 // Get hands a workspace to exactly one goroutine until the matching release.
 var wsPool = sync.Pool{New: func() any { return lp.NewWorkspace() }}
 
-// checkoutModelWorkspace attaches a pooled workspace to the model's LP/QP
-// solver stack and returns the release function that restores the model's
-// prior workspace and recycles the pooled one. No-op when disabled.
-func checkoutModelWorkspace(m *dispatch.Model, disable bool) func() {
-	if disable {
-		return func() {}
+// eachTask runs task(i, kw, ot) for every i < n over o.Workers goroutines
+// and returns the per-task errors; a done o.Ctx fails every task not yet
+// started. Each task gets a solver context of its own: kw's model is in the
+// state a fresh clone starts in, and ot is a copy of o. Unless the
+// DisablePooling hook is set, a pooled workspace goes on kw.Model (dispatch
+// and QP solves) and a second on ot.ws (the inner MILP's LP relaxations).
+// The two are deliberately distinct — the MILP's dive/polish heuristics run
+// dispatch solves mid-search, and sharing one workspace would evict the
+// branch-and-bound engine's retained factorization between nodes, demoting
+// warm node solves to cold ones.
+//
+// A parallel run gives every task its own shallow model clone, so a task's
+// solve trajectory never depends on which goroutine or predecessor task
+// touched the warm-start state — a precondition for worker-count
+// independence. A sequential run (one resolved worker) runs inline and
+// shares the caller's model instead: its warm-start memory is reset per task
+// and the caller's restored afterwards, and its KKT factorization cache,
+// whose factors are bit-identical to fresh ones, is kept rather than paid
+// for again per clone. Results are bit-identical either way.
+func eachTask(k *Knowledge, o Options, n int, what string, task func(i int, kw *Knowledge, ot Options) error) []error {
+	errs := make([]error, n)
+	seq := par.Resolve(o.Workers, n) == 1
+	if seq {
+		defer k.Model.RestoreWarmStart(k.Model.WarmStartState())
 	}
-	prior := m.Workspace
-	ws := wsPool.Get().(*lp.Workspace)
-	ws.Reset()
-	m.Workspace = ws
-	return func() {
-		m.Workspace = prior
-		wsPool.Put(ws)
-	}
+	par.Each(o.Workers, n, func(i int) {
+		if errs[i] = ctxErr(o.Ctx, what); errs[i] != nil {
+			return
+		}
+		kw := k
+		if seq {
+			kw.Model.ResetWarmStart()
+		} else {
+			// TrueDLR and the memo are safe to share: the one is read-only,
+			// the other locked.
+			kw = &Knowledge{Model: k.Model.ShallowClone(), TrueDLR: k.TrueDLR, memo: k.memo}
+		}
+		ot := o
+		if !o.hooks.DisablePooling {
+			prior := kw.Model.Workspace
+			kw.Model.Workspace, ot.ws = pooledWorkspace(), pooledWorkspace()
+			defer func() {
+				wsPool.Put(kw.Model.Workspace)
+				wsPool.Put(ot.ws)
+				kw.Model.Workspace = prior
+			}()
+		}
+		errs[i] = task(i, kw, ot)
+	})
+	return errs
 }
 
-// checkoutWorkspaces equips one bilevel task: a pooled workspace on the
-// model (dispatch and QP solves) and a second on o.ws (the inner MILP's LP
-// relaxations, threaded to milp.Options.LP). The two are deliberately
-// distinct — the MILP's dive/polish heuristics run dispatch solves
-// mid-search, and sharing one workspace would evict the branch-and-bound
-// engine's retained factorization between nodes, demoting warm node solves
-// to cold ones. The receiver must be a per-task copy of the caller's
-// Options (o.ws is written). Sequential (Workers==1) runs share the
-// caller's model across tasks; saving and restoring the model's prior
-// workspace keeps that path on the identical checkout discipline as the
-// clone-per-task one. No-op under DisablePooling.
-func (o *Options) checkoutWorkspaces(m *dispatch.Model) func() {
-	if o.DisablePooling {
-		return func() {}
-	}
-	releaseModel := checkoutModelWorkspace(m, false)
+// pooledWorkspace checks a reset workspace out of wsPool.
+func pooledWorkspace() *lp.Workspace {
 	ws := wsPool.Get().(*lp.Workspace)
 	ws.Reset()
-	o.ws = ws
-	return func() {
-		o.ws = nil
-		releaseModel()
-		wsPool.Put(ws)
-	}
+	return ws
 }
 
 // ErrNoDLRLines is returned when the network has no DLR-equipped lines to
@@ -331,13 +348,6 @@ type Options struct {
 	// Method selects the KKT reformulation (default
 	// MethodComplementarity).
 	Method Method
-	// BigM is the big-M constant for MethodBigM (default 1e5, mirroring
-	// the paper's "M is infinity (chosen as a significantly large
-	// number)").
-	BigM float64
-	// MonitorAll includes every rated line's constraints in the inner
-	// problem up front instead of growing the set by row generation.
-	MonitorAll bool
 	// MaxRounds caps row-generation refinements (default 12).
 	MaxRounds int
 	// MaxNodes caps branch-and-bound nodes per subproblem (default
@@ -347,33 +357,6 @@ type Options struct {
 	// milp package's 1e-9); larger values (e.g. 1e-4) speed up large
 	// cases at a bounded optimality sacrifice.
 	RelGap float64
-	// NoSeed disables warm-starting Algorithm 1's pruning bound with the
-	// greedy vertex attack (seeding is on by default).
-	NoSeed bool
-	// NoWarmStart disables simplex basis reuse across branch-and-bound
-	// nodes and row-generation rounds, cold-solving every LP relaxation.
-	// Results are certified-identical either way; this exists for A/B
-	// measurement and as an escape hatch.
-	NoWarmStart bool
-	// NoDive disables the deterministic discovery layer around the KKT
-	// search: the per-subproblem dives (coordinate-ascent attacks polished
-	// on the true ED before branch-and-bound), the converged-attack polish,
-	// and the winner's rich refinement. Attacks then come from the reduced
-	// search alone — machinery gates and search benchmarks use this to
-	// exercise branch-and-bound directly; production runs leave it off.
-	NoDive bool
-	// DenseSolver forces every LP relaxation onto the dense tableau engine
-	// instead of letting the solver pick the sparse revised simplex by
-	// problem size and density. Verdicts are certified either way; this
-	// exists for A/B measurement against recorded dense baselines and as an
-	// escape hatch.
-	DenseSolver bool
-	// ForceSparse forces every LP relaxation onto the sparse revised
-	// simplex even below the size cutover where the selection heuristic
-	// prefers the dense tableau. Ignored when DenseSolver is set. Like
-	// DenseSolver, this is an A/B hook: the engine gates compare the two
-	// engines' attacks on cases small enough to route dense by default.
-	ForceSparse bool
 	// NodeOrder selects the branch-and-bound node-selection strategy for
 	// every inner MILP search (default milp.OrderDFS). Exact attacks are
 	// identical under every strategy; node counts and wall time differ —
@@ -429,28 +412,62 @@ type Options struct {
 	// Warm, when non-nil, carries round-1 root-relaxation bases across
 	// runs on the same grid (see WarmCache). Results are bit-identical
 	// with or without it — the warm path certifies or falls back cold —
-	// so it is purely a latency lever for repeat attacks. Ignored under
-	// NoWarmStart.
+	// so it is purely a latency lever for repeat attacks.
 	Warm *WarmCache
-	// DisablePooling turns off the per-task solver-workspace checkout, so
-	// every LP/QP solve allocates its working storage fresh, as the code
-	// did before workspaces existed. Attacks are bit-identical either way
-	// (pooling only moves where arrays live); this is the A/B hook the
-	// identity gates and allocation benchmarks compare against.
-	DisablePooling bool
 
+	// hooks holds the A/B switches only tests set, through WithHooks.
+	hooks Hooks
 	// ws is the pooled workspace for this task's inner-MILP LP relaxations,
-	// set per fan-out task by checkoutWorkspaces (never by callers). The
-	// dispatch model carries its own workspace separately.
+	// set per fan-out task by eachTask (never by callers). The dispatch
+	// model carries its own workspace separately.
 	ws *lp.Workspace
 }
+
+// Hooks are the A/B switches the identity gates, engine gates and
+// allocation benchmarks flip. Every switch leaves the attack's verdict
+// unchanged; production callers never set them.
+type Hooks struct {
+	// MonitorAll includes every rated line's constraints in the inner
+	// problem up front instead of growing the set by row generation.
+	MonitorAll bool
+	// NoWarmStart disables simplex basis reuse across branch-and-bound
+	// nodes and row-generation rounds (and the WarmCache), cold-solving
+	// every LP relaxation. Results are certified-identical either way.
+	NoWarmStart bool
+	// NoDive disables the deterministic discovery layer around the KKT
+	// search: the per-subproblem dives (coordinate-ascent attacks polished
+	// on the true ED before branch-and-bound), the converged-attack polish,
+	// and the winner's rich refinement. Attacks then come from the reduced
+	// search alone, which is what the machinery gates and search benchmarks
+	// measure.
+	NoDive bool
+	// DenseSolver runs the whole attack, dispatch evaluations included, on
+	// the dense engines instead of letting each solve pick the sparse
+	// revised simplex by problem size and density.
+	DenseSolver bool
+	// ForceSparse forces every LP relaxation onto the sparse revised
+	// simplex even below the size cutover where the selection heuristic
+	// prefers the dense tableau. Ignored when DenseSolver is set.
+	ForceSparse bool
+	// DisablePooling turns off the per-task solver-workspace checkout, so
+	// every LP/QP solve allocates its working storage fresh. Attacks are
+	// bit-identical either way: pooling only moves where arrays live.
+	DisablePooling bool
+}
+
+// WithHooks returns o with the test-only A/B switches h attached.
+func WithHooks(o Options, h Hooks) Options {
+	o.hooks = h
+	return o
+}
+
+// bigM is the big-M constant for MethodBigM, the paper's "M is infinity
+// (chosen as a significantly large number)".
+const bigM = 1e5
 
 func (o Options) withDefaults() Options {
 	if o.Method == 0 {
 		o.Method = MethodComplementarity
-	}
-	if o.BigM == 0 {
-		o.BigM = 1e5
 	}
 	if o.MaxRounds <= 0 {
 		o.MaxRounds = 12
@@ -462,14 +479,6 @@ func (o Options) withDefaults() Options {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
 	return o
-}
-
-// forWorker returns a Knowledge whose Model is a shallow clone of k's —
-// sharing the immutable network, sensitivity matrix, and PTDF, with its own
-// warm-start memory — so a solver worker can run dispatches without racing
-// its siblings. TrueDLR is shared: it is read-only throughout the solve.
-func (k *Knowledge) forWorker() *Knowledge {
-	return &Knowledge{Model: k.Model.ShallowClone(), TrueDLR: k.TrueDLR, memo: k.memo}
 }
 
 // ratingsUnder builds the full effective rating vector for a manipulation.
@@ -521,6 +530,20 @@ type Evaluation struct {
 	// A value (not a pointer): evaluations run on heuristic hot paths
 	// where an extra allocation per call is measurable.
 	Stats SolverStats
+}
+
+// attack reports a feasible evaluation of the manipulation dlr as the
+// Attack that induces it.
+func (ev *Evaluation) attack(dlr map[int]float64) *Attack {
+	return &Attack{
+		DLR:            dlr,
+		TargetLine:     ev.WorstLine,
+		Direction:      ev.Direction,
+		GainPct:        ev.GainPct,
+		PredictedP:     ev.Dispatch.P,
+		PredictedFlows: ev.Dispatch.Flows,
+		PredictedCost:  ev.Dispatch.Cost,
+	}
 }
 
 // EvaluateAttack runs the operator's dispatch under manipulated ratings and

@@ -195,7 +195,7 @@ func TestMonitorAllMatchesRowGeneration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, err := core.FindOptimalAttack(k, core.Options{MonitorAll: true})
+	a2, err := core.FindOptimalAttack(k, core.WithHooks(core.Options{}, core.Hooks{MonitorAll: true}))
 	if err != nil {
 		t.Fatal(err)
 	}

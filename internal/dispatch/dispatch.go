@@ -62,10 +62,9 @@ type Model struct {
 	// Metrics, when non-nil, receives dispatch_* counters and forwards to
 	// the inner LP/QP solvers' lp_*/qp_* counters. Nil costs nothing.
 	Metrics *telemetry.Registry
-	// DenseSolver forces the inner LP and QP solves onto their dense
-	// engines (tableau simplex, dense KKT factorization) instead of the
-	// sparse ones; used for A/B measurement against dense baselines.
-	DenseSolver bool
+	// dense forces the inner LP and QP solves onto their dense engines;
+	// see DenseClone.
+	dense bool
 	// Workspace, when non-nil, supplies the inner LP/QP solvers' working
 	// storage, reused across rowgen rounds and solves. Like warm it
 	// is per-clone mutable state: a workspace belongs to exactly one worker
@@ -142,14 +141,23 @@ func (m *Model) PTDF() *mat.Matrix { return m.ptdf }
 // the O(n³) PTDF factorization BuildModel pays.
 func (m *Model) ShallowClone() *Model {
 	c := &Model{
-		Net:         m.Net,
-		M:           m.M,
-		Demand:      m.Demand,
-		ptdf:        m.ptdf,
-		Metrics:     m.Metrics,
-		DenseSolver: m.DenseSolver,
+		Net:     m.Net,
+		M:       m.M,
+		Demand:  m.Demand,
+		ptdf:    m.ptdf,
+		Metrics: m.Metrics,
+		dense:   m.dense,
 	}
 	c.Base = append([]float64(nil), m.Base...)
+	return c
+}
+
+// DenseClone returns a ShallowClone whose LP and QP solves run on the dense
+// engines (tableau simplex, dense KKT factorization) instead of the sparse
+// ones, for A/B measurement against dense baselines.
+func DenseClone(m *Model) *Model {
+	c := m.ShallowClone()
+	c.dense = true
 	return c
 }
 
@@ -396,7 +404,7 @@ func (m *Model) solveLP(ratings []float64, included []int) (*Result, error) {
 		}
 		refs = append(refs, rowRef{li, -1, r2})
 	}
-	sol, err := lp.SolveWith(prob, lp.Options{Metrics: m.Metrics, DenseSolver: m.DenseSolver, Workspace: m.Workspace})
+	sol, err := lp.SolveWith(prob, lp.Options{Metrics: m.Metrics, DenseSolver: m.dense, Workspace: m.Workspace})
 	if err != nil {
 		return nil, fmt.Errorf("dispatch: %w", err)
 	}
@@ -484,7 +492,7 @@ func (m *Model) solveQP(ratings []float64, included []int, warm *qp.WarmStart) (
 	// requires, so repeated dispatch solves share base factorizations.
 	sol, err := qp.SolveWith(prob, qp.Options{
 		Metrics:   m.Metrics,
-		DenseKKT:  m.DenseSolver,
+		DenseKKT:  m.dense,
 		Cache:     &m.kkt,
 		RowKeys:   rowKeys,
 		Workspace: m.Workspace,

@@ -142,7 +142,18 @@ type kktSchur struct {
 	dots  []float64          // slot pair (lower triangle) → ĝ_vᵀ·B⁻¹·ĝ_w, NaN until first use
 	sfact map[string]*mat.LU // packed working set → Schur factorization
 	sbad  map[string]bool    // packed working set → singular (dependent)
+	// sbytes is the memory the sfact entries hold, bounded by
+	// schurCacheBytes.
+	sbytes int
 }
+
+// schurCacheBytes bounds the memory the cached Schur factorizations hold:
+// past it, or past 1,024 entries, the cache starts over. A refactorization
+// is bit-identical to the factor it replaces, so clearing changes speed
+// only. Case118 dispatch caches peak near 19 MB at the entry cap and never
+// reach the budget; without it, grow1000's (~1.3 MB per factor) kept about
+// 1 GB live.
+const schurCacheBytes = 32 << 20
 
 // run iterates: solve the equality-constrained QP on the working set, then
 // either take a (possibly blocked) step, drop a constraint with a negative
@@ -632,10 +643,13 @@ func (s *activeSet) solveKKTSchur(work []int) (x, nu, lam []float64, err error) 
 				k.sbad[wk] = true
 				return nil, nil, nil, ferr
 			}
-			if len(k.sfact) >= 1024 {
+			size := 8*mw*(mw+1) + len(wk) // LU entries, pivots, key
+			if len(k.sfact) >= 1024 || k.sbytes+size > schurCacheBytes {
 				clear(k.sfact)
+				k.sbytes = 0
 			}
 			k.sfact[wk] = f
+			k.sbytes += size
 		}
 		rhs := growFloat(s.rhsBuf, mw)
 		s.rhsBuf = rhs

@@ -209,3 +209,60 @@ func TestKKTCacheSlotsFollowWorkingRows(t *testing.T) {
 		t.Fatalf("%d slots but %d pair dots and %d keys", s, len(sc.dots), len(sc.slot))
 	}
 }
+
+// TestKKTCacheSchurBytesBounded checks the Schur factorization cache stays
+// within its byte budget when the working sets are large: box QPs with
+// hundreds of active bounds factor far more than schurCacheBytes of Schur
+// complements through one shared cache. The tracked size must match the
+// cached entries and stay under the budget, and every solution must stay
+// bit-identical to a fresh cache's.
+func TestKKTCacheSchurBytesBounded(t *testing.T) {
+	const n = 300
+	build := func(seed int64) *Problem {
+		r := rand.New(rand.NewSource(seed))
+		p := NewProblem(n)
+		for j := 0; j < n; j++ {
+			_ = p.SetQuadCoeff(j, j, 1)
+			_ = p.SetLinCoeff(j, 1-3*r.Float64()) // optimum −c: a third each below, inside, above [0, 1]
+			_ = p.SetBounds(j, 0, 1)
+		}
+		return p
+	}
+	shared := &KKTCache{}
+	seen := make(map[string]int)
+	for seed := int64(1); seed <= 6; seed++ {
+		a, aerr := SolveWith(build(seed), Options{Cache: shared})
+		b, berr := SolveWith(build(seed), Options{Cache: &KKTCache{}})
+		if aerr != nil || berr != nil {
+			t.Fatalf("seed %d: cached err %v, fresh err %v", seed, aerr, berr)
+		}
+		for j := range a.X {
+			if a.X[j] != b.X[j] {
+				t.Fatalf("seed %d: cached x[%d] %.17g != fresh %.17g", seed, j, a.X[j], b.X[j])
+			}
+		}
+		sc := shared.sc
+		if sc == nil {
+			t.Fatal("Schur path did not engage")
+		}
+		total := 0
+		for key := range sc.sfact {
+			mw := len(key) / 4
+			seen[key] = 8*mw*(mw+1) + len(key)
+			total += seen[key]
+		}
+		if total != sc.sbytes {
+			t.Fatalf("seed %d: tracked %d bytes, cached factors hold %d", seed, sc.sbytes, total)
+		}
+		if sc.sbytes > schurCacheBytes {
+			t.Fatalf("seed %d: cache holds %d bytes, budget %d", seed, sc.sbytes, schurCacheBytes)
+		}
+	}
+	all := 0
+	for _, size := range seen {
+		all += size
+	}
+	if all <= schurCacheBytes {
+		t.Fatalf("solves cached only %d bytes of factors in all; the budget %d was never tested", all, schurCacheBytes)
+	}
+}

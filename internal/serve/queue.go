@@ -122,13 +122,23 @@ func putJob(j *job) {
 	jobPool.Put(j)
 }
 
+// maxBodyBytes caps a request body. The largest bodies clients send —
+// evaluate rating maps and sweep scenario lists for case118 — are a few
+// hundred bytes.
+const maxBodyBytes = 1 << 20
+
 // newJob parses and validates a request body into an admitted-ready job.
-// The returned int is the HTTP status for a rejection.
-func (s *Server) newJob(kind jobKind, r *http.Request) (*job, int, error) {
+// The returned int is the HTTP status for a rejection: 413 for a body over
+// maxBodyBytes, 400 for any other bad request.
+func (s *Server) newJob(kind jobKind, w http.ResponseWriter, r *http.Request) (*job, int, error) {
 	var req jobRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			return nil, http.StatusRequestEntityTooLarge, fmt.Errorf("request body over %d bytes", maxBodyBytes)
+		}
 		return nil, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err)
 	}
 	// Canonicalize so "Case118" and "case118" share one topology bundle

@@ -258,6 +258,26 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+func TestOversizedBodyAnswers413(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	s, ts := newTestServer(t, Config{Metrics: reg})
+	body := `{"case":"` + strings.Repeat("a", maxBodyBytes) + `"}`
+	resp, err := http.Post(ts.URL+"/v1/evaluate", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("status %d, want 413", resp.StatusCode)
+	}
+	if n := len(s.admit); n != 0 {
+		t.Errorf("queue depth %d after an oversized body, want 0", n)
+	}
+	if v := reg.Counter("serve_requests_total").Value(); v != 0 {
+		t.Errorf("serve_requests_total = %d, want 0", v)
+	}
+}
+
 // blocker occupies a worker until released.
 type blocker struct{ release chan struct{} }
 

@@ -5,18 +5,19 @@ import (
 	"time"
 
 	edattack "github.com/edsec/edattack"
+	"github.com/edsec/edattack/internal/core"
 	"github.com/edsec/edattack/internal/telemetry"
 )
 
 // sparseGateOpts mirrors warmGateOpts' budgets but leaves engine selection
 // to the default heuristic: the case118 KKT relaxations (~180 rows) land on
 // the sparse revised simplex, while the tiny case9/30/57 systems (≲40 rows)
-// stay on the dense tableau, which is faster at that size. NoDive keeps the
-// A/B on the engines' KKT searches (the dive/polish layer would add
-// identical dispatch work to both sides and swamp the wall comparison). Run
-// via make bench-sparse (part of make check).
+// stay on the dense tableau, which is faster at that size. The NoDive hook
+// keeps the A/B on the engines' KKT searches (the dive/polish layer would
+// add identical dispatch work to both sides and swamp the wall comparison).
+// Run via make bench-sparse (part of make check).
 func sparseGateOpts() edattack.AttackOptions {
-	return edattack.AttackOptions{MaxNodes: 40, RelGap: 1e-3, NoDive: true}
+	return core.WithHooks(edattack.AttackOptions{MaxNodes: 40, RelGap: 1e-3}, core.Hooks{NoDive: true})
 }
 
 // TestSparseGateIdenticalAttacks is the sparse-engine correctness gate on
@@ -25,7 +26,7 @@ func sparseGateOpts() edattack.AttackOptions {
 // are solved by the sparse revised simplex or the dense tableau oracle, and
 // the sparse engine must preserve worker-count independence (one worker vs
 // four). These cases route dense under the default heuristic, so the sparse
-// side is pinned with ForceSparse to keep the comparison a real A/B.
+// side is pinned with the ForceSparse hook to keep the comparison a real A/B.
 func TestSparseGateIdenticalAttacks(t *testing.T) {
 	for _, name := range []string{"case9", "case30", "case57"} {
 		name := name
@@ -33,9 +34,8 @@ func TestSparseGateIdenticalAttacks(t *testing.T) {
 			t.Parallel()
 			k := knowledgeCase(t, name)
 			solve := func(dense bool, workers int) *edattack.Attack {
-				o := sparseGateOpts()
-				o.DenseSolver = dense
-				o.ForceSparse = !dense
+				o := core.WithHooks(sparseGateOpts(),
+					core.Hooks{NoDive: true, DenseSolver: dense, ForceSparse: !dense})
 				o.Workers = workers
 				att, err := edattack.FindOptimalAttack(k, o)
 				if err != nil {

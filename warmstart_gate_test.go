@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	edattack "github.com/edsec/edattack"
+	"github.com/edsec/edattack/internal/core"
 )
 
 // warmGateOpts is the budgeted configuration shared by the regression gate
@@ -14,12 +15,20 @@ import (
 // recorded pivot totals are trajectories of that engine (which remains the
 // differential oracle for the sparse revised simplex), and under a
 // truncating node budget the two engines legitimately explore different
-// trees. The sparse engine has its own gate in sparse_gate_test.go. NoDive
-// keeps the gate on the branch-and-bound machinery itself: the dive/polish
-// discovery layer solves true dispatches rather than KKT relaxations, so it
-// would dilute the warm-start signal these gates exist to measure.
+// trees. The sparse engine has its own gate in sparse_gate_test.go. The
+// NoDive hook keeps the gate on the branch-and-bound machinery itself: the
+// dive/polish discovery layer solves true dispatches rather than KKT
+// relaxations, so it would dilute the warm-start signal these gates exist to
+// measure.
 func warmGateOpts() edattack.AttackOptions {
-	return edattack.AttackOptions{MaxNodes: 40, RelGap: 1e-3, DenseSolver: true, NoDive: true}
+	return core.WithHooks(edattack.AttackOptions{MaxNodes: 40, RelGap: 1e-3},
+		core.Hooks{DenseSolver: true, NoDive: true})
+}
+
+// coldGateOpts is warmGateOpts with simplex basis reuse switched off.
+func coldGateOpts() edattack.AttackOptions {
+	return core.WithHooks(edattack.AttackOptions{MaxNodes: 40, RelGap: 1e-3},
+		core.Hooks{DenseSolver: true, NoDive: true, NoWarmStart: true})
 }
 
 // sameAttack reports whether two attacks are bit-identical where it matters:
@@ -68,7 +77,9 @@ func TestWarmStartIdenticalAttacks(t *testing.T) {
 			k := knowledgeCase(t, name)
 			solve := func(cold bool, workers int) *edattack.Attack {
 				o := warmGateOpts()
-				o.NoWarmStart = cold
+				if cold {
+					o = coldGateOpts()
+				}
 				o.Workers = workers
 				att, err := edattack.FindOptimalAttack(k, o)
 				if err != nil {
@@ -102,9 +113,9 @@ func TestWarmStartIdenticalAttacks(t *testing.T) {
 // TestWarmStartCase118Speedup is the performance gate: on the budgeted
 // case118 attack, warm-started dual simplex must spend at most half the
 // pivots of an otherwise identical cold run (same machinery, same budgets,
-// same attack — NoWarmStart is the only difference), while reproducing the
-// recorded gain exactly. Run via make bench-warmstart (and as part of
-// make check).
+// same attack — the NoWarmStart hook is the only difference), while
+// reproducing the recorded gain exactly. Run via make bench-warmstart (and
+// as part of make check).
 func TestWarmStartCase118Speedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("case118 gate skipped in -short mode")
@@ -120,8 +131,8 @@ func TestWarmStartCase118Speedup(t *testing.T) {
 		t.Fatal("attack carries no SolverStats")
 	}
 	got := att.Stats.SimplexIterations
-	co := o
-	co.NoWarmStart = true
+	co := coldGateOpts()
+	co.Workers = 1
 	coldAtt, err := edattack.FindOptimalAttack(k, co)
 	if err != nil {
 		t.Fatal(err)
